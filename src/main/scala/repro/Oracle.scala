@@ -6,10 +6,12 @@ import org.apache.spark.sql.types._
 
 /** DuckDB correctness oracle.
   *
-  * ``assertEquivalent(sparkDf, sql, tables)`` runs ``sql`` on DuckDB
-  * (via JDBC, in-process) over ``tables`` and asserts the rows match
-  * ``sparkDf``. This catches wrong results from a rewritten plan or a
-  * custom operator — "it ran" is not "it is correct".
+  * ``assertRowsEquivalentOn(conn, cols, rows, sql)`` runs ``sql`` on DuckDB
+  * (via JDBC, in-process) over the tables loaded into ``conn`` and asserts
+  * the rows match; ``assertEquivalentOn`` (a Spark result) and
+  * ``assertSqlEquivalent`` (a second SQL statement) go through it. This
+  * catches wrong results from a rewritten plan or a custom operator — "it
+  * ran" is not "it is correct".
   *
   * Extensions over the stock oracle (documented in DESIGN.md):
   *  - tables are created with types derived from the Spark schema (so
@@ -124,67 +126,25 @@ object Oracle {
   /** Assert two SQL statements produce equivalent results on the same
     * (pre-loaded) DuckDB connection. */
   def assertSqlEquivalent(conn: Connection, sqlA: String, sqlB: String): Unit = {
-    val (ca, ra) = query(conn, sqlA)
-    val (cb, rb) = query(conn, sqlB)
-    require(ca.map(_.toLowerCase).toSet == cb.map(_.toLowerCase).toSet,
-      s"column mismatch: ${ca.sorted} vs ${cb.sorted}")
-    val a = canon(ra, ca); val b = canon(rb, cb)
-    require(equivalent(a, b),
-      s"SQL results differ (${a.size} vs ${b.size} rows):\n  A: ${a.take(3)}\n  B: ${b.take(3)}")
+    val (cols, rows) = query(conn, sqlA)
+    assertRowsEquivalentOn(conn, cols, rows.map(_.toSeq), sqlB)
   }
 
   /** Assert a Spark result matches reference SQL on a pre-loaded connection. */
-  def assertEquivalentOn(conn: Connection, sparkDf: DataFrame, sql: String): Unit = {
-    val (dCols, dRows) = query(conn, sql)
-    val sCols = sparkDf.columns.toSeq
-    require(
-      dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
-      s"column mismatch: spark=${sCols.sorted} duckdb=${dCols.sorted} — alias every output column")
-    val got = canon(sparkDf.collect().toSeq, sCols)
-    val exp = canon(dRows, dCols)
-    require(equivalent(got, exp),
-      s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
-      s"  first spark rows: ${got.take(3).map(_.mkString("[", ", ", "]"))}\n" +
-      s"  first duck rows:  ${exp.take(3).map(_.mkString("[", ", ", "]"))}")
-  }
+  def assertEquivalentOn(conn: Connection, sparkDf: DataFrame, sql: String): Unit =
+    assertRowsEquivalentOn(conn, sparkDf.columns.toSeq, sparkDf.collect().toSeq.map(_.toSeq), sql)
 
-  /** Assert arbitrary local rows (schema, rows) match reference SQL results
-    * on a pre-loaded connection — used for the MiniPandas baseline. */
+  /** Assert result rows (columns, rows) match reference SQL results on a
+    * pre-loaded connection — the one comparator behind every assertion. */
   def assertRowsEquivalentOn(conn: Connection, cols: Seq[String], rows: Seq[Seq[Any]], sql: String): Unit = {
     val (dCols, dRows) = query(conn, sql)
     require(dCols.map(_.toLowerCase).toSet == cols.map(_.toLowerCase).toSet,
-      s"column mismatch: local=${cols.sorted} duckdb=${dCols.sorted}")
+      s"column mismatch: got=${cols.sorted} duckdb=${dCols.sorted} — alias every output column")
     val got = canon(rows.map(Row.fromSeq), cols)
     val exp = canon(dRows, dCols)
     require(equivalent(got, exp),
       s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
-      s"  first local rows: ${got.take(3).map(_.mkString("[", ", ", "]"))}\n" +
+      s"  first rows got:   ${got.take(3).map(_.mkString("[", ", ", "]"))}\n" +
       s"  first duck rows:  ${exp.take(3).map(_.mkString("[", ", ", "]"))}")
-  }
-
-  def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
-    Class.forName("org.duckdb.DuckDBDriver")
-    val conn = DriverManager.getConnection("jdbc:duckdb:")
-    try {
-      tables.foreach { case (name, df) => loadTable(conn, name, df) }
-      val rs   = conn.createStatement.executeQuery(sql)
-      val meta = rs.getMetaData
-      val dCols = (1 to meta.getColumnCount).map(meta.getColumnLabel)
-      val dRows = Iterator
-        .continually(rs)
-        .takeWhile(_.next())
-        .map(r => Row.fromSeq((1 to dCols.size).map(r.getObject)))
-        .toSeq
-      val sCols = sparkDf.columns.toSeq
-      require(
-        dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
-        s"column mismatch: spark=${sCols.sorted} duckdb=${dCols.sorted} — alias every output column")
-      val got = canon(sparkDf.collect().toSeq, sCols)
-      val exp = canon(dRows, dCols)
-      require(equivalent(got, exp),
-        s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
-        s"  first spark rows: ${got.take(3).map(_.mkString("[", ", ", "]"))}\n" +
-        s"  first duck rows:  ${exp.take(3).map(_.mkString("[", ", ", "]"))}")
-    } finally conn.close()
   }
 }

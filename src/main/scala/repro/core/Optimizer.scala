@@ -18,24 +18,25 @@ object Optimizer {
 
   def optimize(p: Program, cat: Catalog, level: Int): Program = level match {
     case 0 => p
-    case 1 => fix(p)(q => globalDce(localDce(q)))
-    case 2 => fix(optimize(p, cat, 1))(q => globalDce(localDce(groupAggElim(q, cat))))
-    case 3 => fix(optimize(p, cat, 2))(q => globalDce(localDce(groupAggElim(selfJoinElim(q, cat), cat))))
+    case 1 => fix(p, "O1")(q => globalDce(localDce(q)))
+    case 2 => fix(optimize(p, cat, 1), "O2")(q => globalDce(localDce(groupAggElim(q, cat))))
+    case 3 => fix(optimize(p, cat, 2), "O3")(q => globalDce(localDce(groupAggElim(selfJoinElim(q, cat), cat))))
     case 4 =>
       val inlined = inlineRules(optimize(p, cat, 3))
-      fix(inlined)(q => globalDce(localDce(groupAggElim(selfJoinElim(q, cat), cat))))
+      fix(inlined, "O4")(q => globalDce(localDce(groupAggElim(selfJoinElim(q, cat), cat))))
     case n => sys.error(s"optimizer: unknown level $n")
   }
 
-  private def fix(p: Program)(step: Program => Program): Program = {
+  /** Apply `step` until the program stops changing; a pass that has not
+    * converged after 10 steps is a bug, reported with its last program. */
+  private[core] def fix(p: Program, pass: String)(step: Program => Program): Program = {
     var cur = p
-    var i = 0
-    while (i < 10) {
+    for (_ <- 1 to 10) {
       val next = step(cur)
       if (next == cur) return cur
-      cur = next; i += 1
+      cur = next
     }
-    cur
+    sys.error(s"optimizer: pass $pass did not converge in 10 steps; last program:\n${show(cur)}")
   }
 
   // ------------------------------------------------- local DCE (per rule)
@@ -76,9 +77,8 @@ object Optimizer {
     // 2. Per intermediate relation, compute the set of used column positions.
     //    A position is used if any consumer reads its var (in a term, the
     //    head, group/sort) or uses it as a join variable (repeated binding).
-    val defined = live.map(_.head.rel).toSet
+    val rules = live.toArray
     def usedPositions(rel: String): Set[Int] = {
-      if (rel == p.result) return live.find(_.head.rel == rel).map(_.head.cols.indices.toSet).getOrElse(Set.empty)
       val res = scala.collection.mutable.Set[Int]()
       // Term-level var references at any nesting depth (incl. exists bodies).
       def termVars(a: Atom): Seq[String] = a match {
@@ -88,7 +88,7 @@ object Optimizer {
         case ExistsAtom(b, _)             => b.flatMap(termVars)
         case _                            => Seq.empty
       }
-      for (r <- live; atom <- r.body; ra <- allRelAtoms(atom) if ra.rel == rel) {
+      for (r <- rules; atom <- r.body; ra <- allRelAtoms(atom) if ra.rel == rel) {
         // vars referenced anywhere in the rule other than as this atom's bare binding
         val counts = r.body.flatMap(allRelAtoms).flatMap(_.vars).groupBy(identity).map { case (k, v) => k -> v.size }
         val referenced: Set[String] =
@@ -100,34 +100,26 @@ object Optimizer {
       res.toSet
     }
 
-    val pruned = live.map { r =>
-      if (r.head.rel == p.result) r
-      else {
-        val used = usedPositions(r.head.rel)
-        if (used.size == r.head.cols.size || used.isEmpty) r
-        else {
-          val keepIdx = r.head.cols.indices.filter(used).toVector
-          val newCols = keepIdx.map(r.head.cols)
-          r.copy(head = r.head.copy(cols = newCols))
+    // 3. Prune consumers before producers (rules are in dependency order), so
+    //    that a column dropped from a consumer's head, with the assignments
+    //    that only it read, frees the producer columns in the same call. Each
+    //    consumer's access keeps only the remaining positions.
+    for (i <- rules.indices.reverse if rules(i).head.rel != p.result) {
+      val r = rules(i)
+      val used = usedPositions(r.head.rel)
+      if (used.nonEmpty && used.size < r.head.cols.size) {
+        val keep = r.head.cols.indices.filter(used).toVector
+        def fixAtom(a: Atom): Atom = a match {
+          case ra: RelAtom if ra.rel == r.head.rel => ra.copy(vars = keep.map(ra.vars))
+          case ExistsAtom(b, n)                    => ExistsAtom(b.map(fixAtom), n)
+          case other                               => other
         }
+        rules(i) = localDce(r.copy(head = r.head.copy(cols = keep.map(r.head.cols))))
+        for (j <- rules.indices if rules(j).body.flatMap(allRelAtoms).exists(_.rel == r.head.rel))
+          rules(j) = rules(j).copy(body = rules(j).body.map(fixAtom))
       }
     }
-
-    // 3. Fix consumers of pruned relations: drop the corresponding vars from
-    //    their RelAtoms (positional binding must stay aligned).
-    val headsBefore = live.map(r => r.head.rel -> r.head.cols.size).toMap
-    val keptIdx: Map[String, Vector[Int]] = live.zip(pruned).map { case (b, a) =>
-      b.head.rel -> b.head.cols.indices.filter(i => a.head.cols.contains(b.head.cols(i))).toVector
-    }.toMap
-    def fixAtom(a: Atom): Atom = a match {
-      case ra @ RelAtom(rel, vars, o) if defined(rel) && keptIdx.contains(rel) &&
-          keptIdx(rel).size != headsBefore(rel) =>
-        ra.copy(vars = keptIdx(rel).map(vars))
-      case ExistsAtom(b, n) => ExistsAtom(b.map(fixAtom), n)
-      case other => other
-    }
-    val fixedRules = pruned.map(r => r.copy(body = r.body.map(fixAtom)))
-    p.copy(rules = fixedRules)
+    p.copy(rules = rules.toVector)
   }
 
   // ---------------------------------------------- group-aggregate elimination

@@ -4,6 +4,7 @@ import org.apache.spark.sql.{Column, DataFrame, SparkSession, Row}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
+import scala.collection.immutable.ListMap
 import TondIR._
 
 /** TondIR → Catalyst translation: every rule is compiled directly into Spark
@@ -15,42 +16,37 @@ import TondIR._
   * assignments → inlined column expressions; `group(...)` heads →
   * `groupBy().agg()` (agg-bearing predicates become post-aggregation
   * filters, i.e. HAVING); `exists` / `not exists` → `left_semi` /
-  * `left_anti` joins; constant relations → `createDataFrame`; UID() →
+  * `left_anti` joins against the sub-body, compiled by the same body
+  * function at any depth; constant relations → `createDataFrame`; UID() →
   * 0-based `row_number()` window; sort/limit → `orderBy`/`limit`.
+  *
+  * A semi-join sees only the columns of its two sides, so an `exists`
+  * sub-body may correlate with its directly enclosing level only; a
+  * variable bound two or more levels out is rejected with an error that
+  * names it (SqlGen renders it as an ordinary correlated reference).
   */
 object SparkGen {
 
   /** Compile a program: `inputs` provides DataFrames for base relations. */
   def compile(p: Program, inputs: Map[String, DataFrame], cat: Catalog,
               spark: SparkSession): DataFrame = {
+    val tags = Iterator.from(0).map(n => s"b$n")   // unique column prefix per body level
     var rels: Map[String, DataFrame] = inputs
     for (rule <- p.rules)
-      rels = rels + (rule.head.rel -> compileRule(rule, rels, spark))
+      rels = rels + (rule.head.rel -> compileRule(rule, rels, spark, tags))
     rels(p.result)
   }
 
   /** Compile one rule against already-materialized relation DataFrames. */
-  def compileRule(rule: Rule, rels: Map[String, DataFrame], spark: SparkSession): DataFrame = {
-    val assignOf = rule.assigns.map(a => a.v -> a.t).toMap
-
-    val (joined, env) = buildBody(rule.body, rels, Map.empty, spark, "b")
-
-    def colOf(v: String): Column =
-      env.get(v).map(col)
-        .getOrElse(assignOf.get(v).map(t => render(t, colOf))
-          .getOrElse(sys.error(s"sparkgen: unbound var $v in ${show(rule)}")))
-
-    // WHERE (non-aggregate predicates); aggregate predicates become HAVING.
-    val preds = rule.body.collect { case PredAtom(t) => t }
-    val (havingPreds, wherePreds) = preds.partition(_.hasAgg)
-    val filtered = wherePreds.foldLeft(joined)((d, t) => d.where(render(t, colOf)))
-
-    // EXISTS / NOT EXISTS → semi/anti joins applied before projection.
-    val withExists = rule.body.collect { case e: ExistsAtom => e }
-      .foldLeft(filtered) { (d, e) => applyExists(d, e, env, rels, spark) }
+  private def compileRule(rule: Rule, rels: Map[String, DataFrame], spark: SparkSession,
+                          tags: Iterator[String]): DataFrame = {
+    // Aggregate predicates become HAVING; the rest of the body is joined and filtered.
+    val (having, rest) = rule.body.partition { case PredAtom(t) => t.hasAgg; case _ => false }
+    val (withExists, scope, _) = body(rest, None, rels, spark, tags)
+    def colOf(v: String): Column = scope.colOf(v, u => sys.error(s"sparkgen: unbound var $u in ${show(rule)}"))
+    val havingPreds = having.collect { case PredAtom(t) => t }
 
     val headCols = rule.head.cols
-
     val projected: DataFrame =
       if (rule.hasAgg) {
         val havingCols = havingPreds.zipWithIndex.map { case (t, i) => render(t, colOf).as(s"__having_$i") }
@@ -92,17 +88,33 @@ object SparkGen {
     rule.head.limit.map(n => sorted.limit(n.toInt)).getOrElse(sorted)
   }
 
-  /** Join the body's relation/constant atoms left-to-right, returning the
-    * joined DataFrame and the var → unique-column-name environment. */
-  private def buildBody(body: Vector[Atom], rels: Map[String, DataFrame],
-                        outerEnv: Map[String, String], spark: SparkSession,
-                        tag: String): (DataFrame, Map[String, String]) = {
-    val items = body.collect { case r: RelAtom => Left(r); case c: ConstAtom => Right(c) }
+  /** The variables of one body level: joined columns and assignments. */
+  private final case class Scope(cols: Map[String, String], assignOf: Map[String, Term], outer: Option[Scope]) {
+    def sees(v: String): Boolean = cols.contains(v) || assignOf.contains(v) || outer.exists(_.sees(v))
+    /** Column of `v` at this level; variables bound elsewhere resolve through `miss`. */
+    def colOf(v: String, miss: String => Column): Column =
+      cols.get(v).map(col).getOrElse(assignOf.get(v).map(render(_, colOf(_, miss))).getOrElse(miss(v)))
+    /** Column of `v` as a semi-join of a sub-body sees it: this level only. */
+    def joinCol(v: String): Column = colOf(v, u =>
+      if (outer.exists(_.sees(u))) sys.error(s"sparkgen: $u is bound two levels out of an exists body; a semi-join cannot reach it")
+      else sys.error(s"sparkgen: unbound var $u"))
+  }
+
+  /** One body level inside `outer` → (DataFrame, scope, correlation
+    * conditions). Joins the relation/constant atoms left-to-right, filters on
+    * the predicates local to this level, and semi/anti-joins each `exists`
+    * atom against its sub-body, built by this same function. A sub-body
+    * correlates with its enclosing level through shared variables and
+    * through predicates that mention an enclosing variable. */
+  private def body(atoms: Vector[Atom], outer: Option[Scope], rels: Map[String, DataFrame],
+                   spark: SparkSession, tags: Iterator[String]): (DataFrame, Scope, Vector[Column]) = {
+    val tag = tags.next()
+    val items = atoms.collect { case r: RelAtom => Left(r); case c: ConstAtom => Right(c) }
     require(items.nonEmpty, "empty body")
-    var env = Map.empty[String, String]
+    var env = ListMap.empty[String, String]   // var → unique column, in binding order
     var df: DataFrame = null
     items.zipWithIndex.foreach { case (item, i) =>
-      val (src, vars, outer) = item match {
+      val (src, vars, outerOn) = item match {
         case Left(r) =>
           val base = rels.getOrElse(r.rel, sys.error(s"sparkgen: unknown relation ${r.rel}"))
           (base, r.vars, r.outerOn)
@@ -112,63 +124,39 @@ object SparkGen {
           val rows = c.rows.map(r => Row.fromSeq(r.map(_.v)))
           (spark.createDataFrame(spark.sparkContext.parallelize(rows.toSeq, 1), schema), c.vars, None)
       }
-      val uniq = vars.indices.map(k => s"__${tag}${i}_c$k")
+      val uniq = vars.indices.map(k => s"__${tag}_${i}_c$k")
       val renamed = src.toDF(uniq: _*)
-      if (i == 0) { df = renamed; vars.zipWithIndex.foreach { case (v, k) => if (!env.contains(v)) env += v -> uniq(k) } }
-      else {
-        var conds = Vector.empty[Column]
-        var newBinds = Vector.empty[(String, String)]
-        vars.zipWithIndex.foreach { case (v, k) =>
-          env.get(v) match {
-            case Some(prev) => conds :+= (col(prev) === col(uniq(k)))
-            case None       => newBinds :+= v -> uniq(k)
-          }
-        }
-        outer match {
-          case Some((kind, on)) =>
-            val tmpEnv = env ++ newBinds
-            def oc(v: String): Column = col(tmpEnv.getOrElse(v, outerEnv(v)))
-            val onCond = (conds :+ render(on, oc)).reduce(_ && _)
-            val jt = kind match { case "left" => "left"; case "right" => "right"; case "full" => "full" }
-            df = df.join(renamed, onCond, jt)
-          case None =>
-            val cond = if (conds.nonEmpty) conds.reduce(_ && _) else lit(true)
-            df = df.join(renamed, cond, "inner")
-        }
-        env = env ++ newBinds
+      // A variable bound before (here or in an earlier atom) becomes an equality.
+      val conds = vars.zipWithIndex.flatMap { case (v, k) =>
+        val prev = env.get(v)
+        if (prev.isEmpty) env += v -> uniq(k)
+        prev.map(p => col(p) === col(uniq(k)))
+      }
+      df = outerOn match {
+        case _ if i == 0 => conds.foldLeft(renamed)(_ where _)
+        case Some((kind, on)) =>
+          val onScope = Scope(env, Map.empty, outer)
+          val jt = kind match { case "left" => "left"; case "right" => "right"; case "full" => "full" }
+          df.join(renamed, (conds :+ render(on, onScope.colOf(_, outerCol(outer)))).reduce(_ && _), jt)
+        case None => df.join(renamed, conds.reduceOption(_ && _).getOrElse(lit(true)), "inner")
       }
     }
-    (df, env)
+    val scope = Scope(env, atoms.collect { case AssignAtom(v, t) => v -> t }.toMap, outer)
+    def local(t: Term): Boolean = t.vars.forall(v => !outer.exists(_.sees(v)) &&
+      (env.contains(v) || scope.assignOf.get(v).exists(local)))
+    val resolve: String => Column = scope.colOf(_, outerCol(outer))
+    val (localPreds, corrPreds) = atoms.collect { case PredAtom(t) => t }.partition(local)
+    val filtered = localPreds.foldLeft(df)((d, t) => d.where(render(t, resolve)))
+    val withExists = atoms.collect { case e: ExistsAtom => e }.foldLeft(filtered) { (d, e) =>
+      val (inner, _, conds) = body(e.body, Some(scope), rels, spark, tags)
+      d.join(inner, conds.reduceOption(_ && _).getOrElse(lit(true)), if (e.negated) "left_anti" else "left_semi")
+    }
+    val shared = env.toVector.collect { case (v, c) if outer.exists(_.sees(v)) => outer.get.joinCol(v) === col(c) }
+    (withExists, scope, shared ++ corrPreds.map(render(_, resolve)))
   }
 
-  /** Semi/anti join for an exists atom. Inner-only predicates filter the
-    * inner side; predicates touching outer vars join the two sides. */
-  private def applyExists(outerDf: DataFrame, e: ExistsAtom,
-                          outerEnv: Map[String, String],
-                          rels: Map[String, DataFrame], spark: SparkSession): DataFrame = {
-    val tag = s"x${System.identityHashCode(e) & 0xffff}_"
-    val innerBound = e.body.flatMap(allRelAtoms).flatMap(_.vars).toSet
-    val innerPreds  = e.body.collect { case PredAtom(t) if t.vars.forall(innerBound) && !t.vars.exists(outerEnv.contains) => t }
-    val crossPreds  = e.body.collect { case PredAtom(t) if t.vars.exists(outerEnv.contains) => t }
-    val assignOf    = e.body.collect { case AssignAtom(v, t) => v -> t }.toMap
-
-    val (innerDf0, innerEnv) = buildBody(e.body, rels, outerEnv, spark, tag)
-    def innerCol(v: String): Column =
-      innerEnv.get(v).map(col).getOrElse(assignOf.get(v).map(t => render(t, innerCol))
-        .getOrElse(sys.error(s"sparkgen: unbound inner var $v")))
-    val innerDf = innerPreds.foldLeft(innerDf0)((d, t) => d.where(render(t, innerCol)))
-
-    // Correlation: vars bound on both sides (inner atoms re-binding an outer
-    // var get their own column; correlate by equality).
-    val shared = innerEnv.keySet.intersect(outerEnv.keySet)
-    val eqConds  = shared.toVector.map(v => col(outerEnv(v)) === col(innerEnv(v)))
-    val xConds   = crossPreds.map(t => render(t, v =>
-      if (outerEnv.contains(v)) col(outerEnv(v))
-      else innerCol(v)))
-    val allConds = eqConds ++ xConds
-    val cond = if (allConds.nonEmpty) allConds.reduce(_ && _) else lit(true)
-    outerDf.join(innerDf, cond, if (e.negated) "left_anti" else "left_semi")
-  }
+  private def outerCol(outer: Option[Scope]): String => Column = v =>
+    outer.map(_.joinCol(v)).getOrElse(sys.error(s"sparkgen: unbound var $v"))
 
   private def litType(v: Any): DataType = v match {
     case _: Int | _: Long => LongType
@@ -180,7 +168,7 @@ object SparkGen {
   }
 
   /** Render a term as a Catalyst Column. */
-  def render(t: Term, colOf: String => Column): Column = t match {
+  private def render(t: Term, colOf: String => Column): Column = t match {
     case TVar(v)   => colOf(v)
     case TConst(d: java.time.LocalDate) => lit(java.sql.Date.valueOf(d))
     case TConst(i: Int) => lit(i.toLong)

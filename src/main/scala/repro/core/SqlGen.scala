@@ -8,7 +8,9 @@ import TondIR._
   * top-level SELECT so its ORDER BY / LIMIT survive (CTEs do not preserve
   * order). Joins are emitted as an explicit JOIN chain derived from
   * Datalog-style variable unification; `exists` atoms become (NOT) EXISTS
-  * subqueries; UID() becomes a ROW_NUMBER window (0-based).
+  * subqueries, emitted by the same body function as the rule itself, so
+  * they nest to any depth and may refer to variables of any enclosing
+  * level; UID() becomes a ROW_NUMBER window (0-based).
   *
   * Backend adaptation (§III-E) is confined to [[SqlDialect]]: the only
   * engine-visible differences we need are inline VALUES relations and
@@ -51,7 +53,7 @@ object SqlGen {
 
   /** Render a term to SQL. `env` resolves a variable to a column reference or
     * an inlined expression; aggregation arguments are rendered recursively. */
-  def term(t: Term, env: String => String): String = t match {
+  private def term(t: Term, env: String => String): String = t match {
     case TVar(v)       => env(v)
     case TConst(v)     => const(v)
     case TAgg("count", TConst(_), false) => "COUNT(*)"
@@ -72,79 +74,80 @@ object SqlGen {
     case TExt(f, _)             => sys.error(s"sqlgen: unknown external $f")
   }
 
-  /** Environment for one rule body: resolves variables to column refs,
-    * accumulating join equalities for repeated bindings. */
-  private final class Env(assignOf: Map[String, Term]) {
-    val bound = scala.collection.mutable.LinkedHashMap[String, String]()
-    val equalities = scala.collection.mutable.ArrayBuffer[String]()
+  /** Variable environment of one body level: resolves a variable to a
+    * column reference or an inlined assignment, else through `outer`. */
+  private final class Env(assignOf: Map[String, Term], outer: Option[Env]) {
+    val bound = scala.collection.mutable.Map[String, String]()
 
-    def bind(v: String, colRef: String): Unit =
-      bound.get(v) match {
-        case Some(prev) => equalities += s"$prev = $colRef"
-        case None       => bound(v) = colRef
-      }
+    def lookup(v: String): Option[String] =
+      bound.get(v).orElse(assignOf.get(v).map(t => s"(${term(t, resolve)})"))
+        .orElse(outer.flatMap(_.lookup(v)))
 
-    /** Bind; returns the equality produced if the var was already bound
-      * (used for join ON clauses instead of WHERE). */
-    def bindForJoin(v: String, colRef: String): Option[String] =
-      bound.get(v) match {
-        case Some(prev) => Some(s"$prev = $colRef")
-        case None       => bound(v) = colRef; None
-      }
-
-    def resolve(v: String): String =
-      bound.getOrElse(v,
-        assignOf.get(v).map(t => s"(${term(t, resolve)})")
-          .getOrElse(sys.error(s"sqlgen: unbound var $v")))
+    def resolve(v: String): String = lookup(v).getOrElse(sys.error(s"sqlgen: unbound var $v"))
   }
 
   /** Column names of a relation: from earlier rule heads, else the catalog. */
   private def schemaOf(rel: String, p: Program, cat: Catalog): Vector[String] =
     p.defining(rel).map(_.head.colNames).getOrElse(cat.schema(rel))
 
-  def ruleSql(rule: Rule, p: Program, cat: Catalog, d: SqlDialect): String = {
-    val assignOf = rule.assigns.map(a => a.v -> a.t).toMap
-    val env = new Env(assignOf)
+  private def ruleSql(rule: Rule, p: Program, cat: Catalog, d: SqlDialect): String = {
     var aliasN = 0
     def nextAlias(): String = { aliasN += 1; s"t$aliasN" }
 
-    // FROM chain ---------------------------------------------------------
-    val fromItems = rule.body.collect { case r: RelAtom => Left(r); case c: ConstAtom => Right(c) }
-    require(fromItems.nonEmpty, s"rule with empty FROM: ${show(rule)}")
-    val sb = new StringBuilder
-    fromItems.zipWithIndex.foreach { case (item, i) =>
-      val alias = nextAlias()
-      val (src, vars, outer) = item match {
-        case Left(r)  => (s"${r.rel} AS $alias", r.vars, r.outerOn)
-        case Right(c) => (d.valuesRel(c.rows, alias, c.vars.map(v => s"c_$v")), c.vars, None)
+    /** One body level inside `outer` → (FROM chain, WHERE conditions, env).
+      * A variable bound by an enclosing level correlates by equality; an
+      * `exists` atom becomes a subquery over the same function. */
+    def body(atoms: Vector[Atom], outer: Option[Env]): (String, Vector[String], Env) = {
+      val env = new Env(atoms.collect { case AssignAtom(v, t) => v -> t }.toMap, outer)
+      val where = scala.collection.mutable.ArrayBuffer[String]()
+      val correlations = scala.collection.mutable.ArrayBuffer[String]()
+      /** Bind; returns the join equality if the var was already bound here. */
+      def bind(v: String, colRef: String): Option[String] = env.bound.get(v) match {
+        case Some(prev) => Some(s"$prev = $colRef")
+        case None =>
+          outer.flatMap(_.lookup(v)).foreach(o => correlations += s"$o = $colRef")
+          env.bound(v) = colRef; None
       }
-      val colOf: Int => String = item match {
-        case Left(r)  => val sc = schemaOf(r.rel, p, cat); k => s"$alias.${sc(k)}"
-        case Right(c) => k => s"$alias.c_${c.vars(k)}"
-      }
-      if (i == 0) { sb ++= src; vars.zipWithIndex.foreach { case (v, k) => env.bind(v, colOf(k)) } }
-      else {
-        val conds = vars.zipWithIndex.flatMap { case (v, k) => env.bindForJoin(v, colOf(k)) }
-        outer match {
-          case Some((kind, on)) =>
-            val kw = kind match { case "left" => "LEFT JOIN"; case "right" => "RIGHT JOIN"
-                                  case "full" => "FULL JOIN"; case k => sys.error(s"outer $k") }
-            val onSql = (conds :+ term(on, env.resolve)).mkString(" AND ")
-            sb ++= s"\n  $kw $src ON $onSql"
-          case None if conds.nonEmpty => sb ++= s"\n  JOIN $src ON ${conds.mkString(" AND ")}"
-          case None                   => sb ++= s"\n  CROSS JOIN $src"
+      val fromItems = atoms.collect { case r: RelAtom => Left(r); case c: ConstAtom => Right(c) }
+      require(fromItems.nonEmpty, s"body with empty FROM: ${atoms.map(show).mkString(", ")}")
+      val sb = new StringBuilder
+      fromItems.zipWithIndex.foreach { case (item, i) =>
+        val alias = nextAlias()
+        val (src, vars, outerOn) = item match {
+          case Left(r)  => (s"${r.rel} AS $alias", r.vars, r.outerOn)
+          case Right(c) => (d.valuesRel(c.rows, alias, c.vars.map(v => s"c_$v")), c.vars, None)
+        }
+        val colOf: Int => String = item match {
+          case Left(r)  => val sc = schemaOf(r.rel, p, cat); k => s"$alias.${sc(k)}"
+          case Right(c) => k => s"$alias.c_${c.vars(k)}"
+        }
+        if (i == 0) { sb ++= src; vars.zipWithIndex.foreach { case (v, k) => where ++= bind(v, colOf(k)) } }
+        else {
+          val conds = vars.zipWithIndex.flatMap { case (v, k) => bind(v, colOf(k)) }
+          outerOn match {
+            case Some((kind, on)) =>
+              val kw = kind match { case "left" => "LEFT JOIN"; case "right" => "RIGHT JOIN"
+                                    case "full" => "FULL JOIN"; case k => sys.error(s"outer $k") }
+              val onSql = (conds :+ term(on, env.resolve)).mkString(" AND ")
+              sb ++= s"\n  $kw $src ON $onSql"
+            case None if conds.nonEmpty => sb ++= s"\n  JOIN $src ON ${conds.mkString(" AND ")}"
+            case None                   => sb ++= s"\n  CROSS JOIN $src"
+          }
         }
       }
+      where ++= correlations
+      where ++= atoms.collect { case PredAtom(t) => term(t, env.resolve) }
+      where ++= atoms.collect { case ExistsAtom(b, neg) =>
+        val (from, conds, _) = body(b, Some(env))
+        val whereSql = if (conds.nonEmpty) s" WHERE ${conds.mkString(" AND ")}" else ""
+        s"${if (neg) "NOT " else ""}EXISTS (SELECT 1 FROM $from$whereSql)"
+      }
+      (sb.toString, where.toVector, env)
     }
-    val fromSql = sb.toString
 
-    // WHERE / HAVING -----------------------------------------------------
-    val preds = rule.body.collect { case PredAtom(t) => t }
-    val (havingPreds, wherePreds) = preds.partition(_.hasAgg)
-    val existsSql = rule.body.collect { case e: ExistsAtom => existsSubquery(e, env, p, cat, d, () => nextAlias()) }
-    val whereAll = env.equalities.toVector ++ wherePreds.map(t => term(t, env.resolve)) ++ existsSql
-
-    // SELECT -------------------------------------------------------------
+    // Aggregate predicates are the rule's HAVING; the rest of the body is FROM/WHERE.
+    val (having, rest) = rule.body.partition { case PredAtom(t) => t.hasAgg; case _ => false }
+    val (fromSql, whereAll, env) = body(rest, None)
     val selCols = rule.head.cols.map { case (n, t) => s"${term(t, env.resolve)} AS $n" }
     val groupBy = rule.head.group.map(env.resolve)
 
@@ -153,40 +156,11 @@ object SqlGen {
     q ++= s"\nFROM $fromSql"
     if (whereAll.nonEmpty) q ++= s"\nWHERE ${whereAll.mkString("\n  AND ")}"
     if (groupBy.nonEmpty) q ++= s"\nGROUP BY ${groupBy.mkString(", ")}"
-    if (havingPreds.nonEmpty) q ++= s"\nHAVING ${havingPreds.map(t => term(t, env.resolve)).mkString(" AND ")}"
+    if (having.nonEmpty) q ++= s"\nHAVING ${having.collect { case PredAtom(t) => term(t, env.resolve) }.mkString(" AND ")}"
     if (rule.head.sort.nonEmpty)
       q ++= s"\nORDER BY ${rule.head.sort.map { case (c, asc) => s"$c${if (asc) "" else " DESC"}" }.mkString(", ")}"
     rule.head.limit.foreach(n => q ++= s"\nLIMIT $n")
     q.toString
-  }
-
-  private def existsSubquery(e: ExistsAtom, outer: Env, p: Program, cat: Catalog,
-                             d: SqlDialect, nextAlias: () => String): String = {
-    val assignOf = e.body.collect { case AssignAtom(v, t) => v -> t }.toMap
-    val inner = new Env(assignOf)
-    val correlations = scala.collection.mutable.ArrayBuffer[String]()
-    val sb = new StringBuilder
-    val items = e.body.collect { case r: RelAtom => r }
-    items.zipWithIndex.foreach { case (r, i) =>
-      val alias = nextAlias()
-      val sc = schemaOf(r.rel, p, cat)
-      if (i == 0) sb ++= s"${r.rel} AS $alias" else sb ++= s", ${r.rel} AS $alias"
-      r.vars.zipWithIndex.foreach { case (v, k) =>
-        val ref = s"$alias.${sc(k)}"
-        if (inner.bound.contains(v)) inner.bind(v, ref)        // intra-subquery join
-        else if (outer.bound.contains(v)) { correlations += s"${outer.bound(v)} = $ref"; inner.bound(v) = ref }
-        else inner.bind(v, ref)
-      }
-    }
-    // Predicates may reference outer vars (correlated conditions).
-    def resolve(v: String): String =
-      if (inner.bound.contains(v)) inner.resolve(v)
-      else if (outer.bound.contains(v)) outer.bound(v)
-      else inner.resolve(v)
-    val preds = e.body.collect { case PredAtom(t) => term(t, resolve) }
-    val conds = inner.equalities.toVector ++ correlations ++ preds
-    val whereSql = if (conds.nonEmpty) s" WHERE ${conds.mkString(" AND ")}" else ""
-    s"${if (e.negated) "NOT " else ""}EXISTS (SELECT 1 FROM ${sb.toString}$whereSql)"
   }
 
   /** Full program → one SQL statement: CTE chain + final SELECT. */

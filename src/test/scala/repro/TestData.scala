@@ -21,9 +21,6 @@ object TestData {
   // (identical rows on every action) and fast.
   lazy val inputs: Map[String, DataFrame] = TpchData.tables(spark, SF)
 
-  /** Alias kept for suites that need to emphasize the spark.sql path. */
-  lazy val viewInputs: Map[String, DataFrame] = inputs
-
   lazy val duck: Connection = {
     val c = Oracle.connect()
     inputs.foreach { case (n, df) => Oracle.loadTable(c, n, df) }

@@ -173,4 +173,15 @@ class OptimizerSpec extends AnyFunSuite {
     val sizes = (0 to 4).map(l => Optimizer.optimize(p, cat, l).rules.size)
     assert(sizes.zip(sizes.tail).forall { case (x, y) => y <= x })
   }
+
+  test("a fixpoint that never converges fails loudly with the pass and last program") {
+    val p = Program(Vector(Rule(Head("P", Vector("a" -> v("a"))), Vector(RelAtom("R", Vector("a", "b", "c", "d"))))), "P")
+    // Each step adds a (redundant) predicate, so the program never repeats.
+    val e = intercept[RuntimeException] {
+      Optimizer.fix(p, "grow")(q => q.copy(rules = q.rules.map(r =>
+        r.copy(body = r.body :+ PredAtom(TBin("<", v("a"), TConst(r.body.size.toLong)))))))
+    }
+    assert(e.getMessage.contains("pass grow did not converge"), e.getMessage)
+    assert(e.getMessage.contains("P(a) :- R(a, b, c, d), ((a < 1)),") && e.getMessage.contains("((a < 10))."), e.getMessage)
+  }
 }

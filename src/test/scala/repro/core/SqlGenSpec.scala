@@ -1,29 +1,42 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
-import repro.Oracle
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.types._
+import repro.{Oracle, SparkSpec}
 import TondIR._
 
-/** Feature-level TondIR → SQL tests, executed on DuckDB over tiny inline
-  * tables (§III-E: CTE chaining, sort/limit placement, UID windows,
-  * VALUES relations, exists, outer joins, dialect quirks). */
-class SqlGenSpec extends AnyFunSuite {
+/** Feature-level tests of both body emitters over tiny inline tables: each
+  * program is emitted as DuckDB SQL by SqlGen and as a Catalyst plan by
+  * SparkGen, and both results are checked against the same expected SQL on
+  * DuckDB (§III-E: CTE chaining, sort/limit placement, UID windows, VALUES
+  * relations, exists at any depth, outer joins, dialect quirks). */
+class SqlGenSpec extends SparkSpec {
 
   private val cat = Catalog.empty
     .withTable("t", Vector("k", "s", "x"), unique = Set("k"))
     .withTable("u", Vector("k", "y"))
 
+  private lazy val tables = Map(
+    "t" -> table(Seq("k" -> LongType, "s" -> StringType, "x" -> DoubleType),
+                 Seq(Row(1L, "a", 10.0), Row(2L, "b", 20.0), Row(3L, "a", 30.0), Row(4L, "c", 40.0))),
+    "u" -> table(Seq("k" -> LongType, "y" -> DoubleType),
+                 Seq(Row(1L, 1.5), Row(1L, 2.5), Row(3L, 3.5), Row(9L, 9.9))))
+
+  private def table(cols: Seq[(String, DataType)], rows: Seq[Row]) =
+    spark.createDataFrame(spark.sparkContext.parallelize(rows, 1),
+      StructType(cols.map { case (n, t) => StructField(n, t) }))
+
   private lazy val duck = {
     val c = Oracle.connect()
-    c.createStatement.execute(
-      "CREATE TABLE t AS SELECT * FROM (VALUES (1,'a',10.0),(2,'b',20.0),(3,'a',30.0),(4,'c',40.0)) v(k,s,x)")
-    c.createStatement.execute(
-      "CREATE TABLE u AS SELECT * FROM (VALUES (1,1.5),(1,2.5),(3,3.5),(9,9.9)) v(k,y)")
+    tables.foreach { case (n, df) => Oracle.loadTable(c, n, df) }
     c
   }
 
-  private def run(p: Program, expected: String): Unit =
+  /** Check SqlGen's DuckDB SQL and SparkGen's plan against `expected`. */
+  private def run(p: Program, expected: String): Unit = {
     Oracle.assertSqlEquivalent(duck, SqlGen.programSql(p, cat, SqlGen.DuckDialect), expected)
+    Oracle.assertEquivalentOn(duck, SparkGen.compile(p, tables, cat, spark), expected)
+  }
 
   private def v(n: String) = TVar(n)
 
@@ -146,5 +159,53 @@ class SqlGenSpec extends AnyFunSuite {
     val d = SqlGen.programSql(Program(Vector(r), "r"), cat, SqlGen.DuckDialect)
     val s = SqlGen.programSql(Program(Vector(r), "r"), cat, SqlGen.SparkDialect)
     assert(d == s)
+  }
+
+  // ------------------------------------------------- exists at any depth
+  private val tk = RelAtom("t", Vector("k", "s", "x"))
+  private def existsRule(atoms: Atom*) = Program(Vector(Rule(Head("r", Vector("k" -> v("k"))), tk +: atoms.toVector)), "r")
+
+  for (neg <- Seq(false, true)) {
+    val not = if (neg) "NOT " else ""
+    test(s"${not.toLowerCase}exists inside exists (TPC-H Q20's shape)") {
+      val inner = ExistsAtom(Vector(RelAtom("u", Vector("j", "y")), PredAtom(TBin(">", v("j"), TConst(2L)))), neg)
+      run(existsRule(ExistsAtom(Vector(RelAtom("u", Vector("k", "y")), inner))),
+        "SELECT k FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.k = t.k AND " +
+        s"${not}EXISTS (SELECT 1 FROM u u2 WHERE u2.y = u.y AND u2.k > 2))")
+    }
+  }
+
+  test("assignment inside exists, with a predicate over it") {
+    run(existsRule(ExistsAtom(Vector(RelAtom("u", Vector("k", "y")),
+                                     AssignAtom("z", TBin("*", v("y"), TConst(2.0))),
+                                     PredAtom(TBin(">", v("z"), TConst(6.0)))))),
+      "SELECT k FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.k = t.k AND y * 2 > 6)")
+  }
+
+  test("constant relation inside exists") {
+    run(existsRule(ExistsAtom(Vector(RelAtom("u", Vector("k", "y")),
+                                     ConstAtom(Vector("lim"), Vector(Vector(TConst(3.0)))),
+                                     PredAtom(TBin(">", v("y"), v("lim")))))),
+      "SELECT k FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.k = t.k AND y > 3)")
+    run(existsRule(ExistsAtom(Vector(ConstAtom(Vector("k"), Vector(Vector(TConst(1L)), Vector(TConst(4L))))))),
+      "SELECT k FROM t WHERE k IN (1, 4)")
+  }
+
+  test("two exists atoms in one rule, one of them the same instance twice") {
+    val e = ExistsAtom(Vector(RelAtom("u", Vector("k", "y")), PredAtom(TBin(">", v("y"), TConst(2.0)))))
+    val n = ExistsAtom(Vector(RelAtom("u", Vector("k", "y")), PredAtom(TBin(">", v("y"), TConst(3.0)))), negated = true)
+    run(existsRule(e, e, n),
+      "SELECT k FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.k = t.k AND y > 2) " +
+      "AND NOT EXISTS (SELECT 1 FROM u WHERE u.k = t.k AND y > 3)")
+  }
+
+  test("a variable two levels out: correlated SQL, a named SparkGen error") {
+    val inner = ExistsAtom(Vector(RelAtom("u", Vector("j", "y2")), PredAtom(TBin(">", TBin("*", v("y2"), TConst(2.0)), v("x")))))
+    val p = existsRule(ExistsAtom(Vector(RelAtom("u", Vector("k", "y")), inner)))
+    Oracle.assertSqlEquivalent(duck, SqlGen.programSql(p, cat, SqlGen.DuckDialect),
+      "SELECT k FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.k = t.k AND " +
+      "EXISTS (SELECT 1 FROM u u2 WHERE u2.y * 2 > t.x))")
+    val e = intercept[RuntimeException](SparkGen.compile(p, tables, cat, spark))
+    assert(e.getMessage.contains("x is bound two levels out"), e.getMessage)
   }
 }

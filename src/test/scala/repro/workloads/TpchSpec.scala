@@ -33,7 +33,7 @@ class TpchSpec extends SparkSpec {
     }
 
     test(s"Q${q.id}: generated Spark SQL (O4) matches reference SQL") {
-      val df = Pipeline.toSparkSql(q.build(cat), cat, TestData.viewInputs, spark, level = 4)
+      val df = Pipeline.toSparkSql(q.build(cat), cat, TestData.inputs, spark, level = 4)
       Oracle.assertEquivalentOn(TestData.duck, df, q.refSql)
     }
 
