@@ -1,6 +1,9 @@
 package repro
 
+import java.nio.file.{Files, Path}
 import java.sql.{DriverManager, Connection}
+import java.util.Comparator
+import scala.util.Using
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types._
 
@@ -34,29 +37,19 @@ object Oracle {
     case _                                             => "VARCHAR"
   }
 
-  /** Load a Spark DataFrame into DuckDB as a typed table. */
+  /** Load a Spark DataFrame into DuckDB as a typed table: Spark writes the
+    * rows to a temporary Parquet directory, DuckDB reads it with
+    * `read_parquet` and casts each column to the type of [[duckType]], and
+    * the directory is deleted. (The JDBC appender of duckdb_jdbc 1.0.0 can
+    * append neither a DATE nor a NULL.) */
   def loadTable(conn: Connection, name: String, df: DataFrame): Unit = {
-    val fields = df.schema.fields
-    conn.createStatement.execute(
-      s"CREATE OR REPLACE TABLE $name (${fields.map(f => s"${f.name} ${duckType(f.dataType)}").mkString(", ")})")
-    val ps = conn.prepareStatement(
-      s"INSERT INTO $name VALUES (${fields.map(_ => "?").mkString(",")})")
-    var batch = 0
-    df.collect().foreach { r =>
-      fields.indices.foreach { i =>
-        r.get(i) match {
-          case null                    => ps.setObject(i + 1, null)
-          case d: java.sql.Date        => ps.setDate(i + 1, d)
-          case d: java.time.LocalDate  => ps.setDate(i + 1, java.sql.Date.valueOf(d))
-          case n: java.lang.Number     => ps.setObject(i + 1, n)
-          case b: java.lang.Boolean    => ps.setBoolean(i + 1, b)
-          case x                       => ps.setString(i + 1, x.toString)
-        }
-      }
-      ps.addBatch(); batch += 1
-      if (batch % 5000 == 0) ps.executeBatch()
-    }
-    ps.executeBatch(); ps.close()
+    val dir = Files.createTempDirectory(s"oracle-$name-")
+    try {
+      df.write.mode("overwrite").parquet(dir.toString)
+      val cols = df.schema.fields.map(f => s"CAST(${f.name} AS ${duckType(f.dataType)}) AS ${f.name}")
+      conn.createStatement.execute(
+        s"CREATE OR REPLACE TABLE $name AS SELECT ${cols.mkString(", ")} FROM read_parquet('$dir/*.parquet')")
+    } finally Using(Files.walk(dir))(_.sorted(Comparator.reverseOrder[Path]()).forEach(p => Files.delete(p))).get
   }
 
   private sealed trait Cell

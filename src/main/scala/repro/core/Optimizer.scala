@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.collection.mutable
 import TondIR._
 
 /** TondIR optimizer (§IV).
@@ -13,18 +14,26 @@ import TondIR._
   *
   * Level O0 is the identity — the "Grizzly-simulated" baseline of §V-A,
   * i.e. PyTond's translation output before any optimization.
+  *
+  * Every pass is one linear sweep over the program: the analyses it needs
+  * (variable reference counts, used head positions, access counts, unique
+  * columns) are computed once per call, never by rescanning all rules per
+  * rule.
   */
 object Optimizer {
 
   def optimize(p: Program, cat: Catalog, level: Int): Program = level match {
-    case 0 => p
-    case 1 => fix(p, "O1")(q => globalDce(localDce(q)))
-    case 2 => fix(optimize(p, cat, 1), "O2")(q => globalDce(localDce(groupAggElim(q, cat))))
-    case 3 => fix(optimize(p, cat, 2), "O3")(q => globalDce(localDce(groupAggElim(selfJoinElim(q, cat), cat))))
-    case 4 =>
-      val inlined = inlineRules(optimize(p, cat, 3))
-      fix(inlined, "O4")(q => globalDce(localDce(groupAggElim(selfJoinElim(q, cat), cat))))
-    case n => sys.error(s"optimizer: unknown level $n")
+    case 0         => p
+    case 1 | 2 | 3 => fix(optimize(p, cat, level - 1), s"O$level")(step(level, cat))
+    case 4         => fix(inlineRules(optimize(p, cat, 3)), "O4")(step(4, cat))
+    case n         => sys.error(s"optimizer: unknown level $n")
+  }
+
+  /** One step of level `level`'s fixpoint: self-join elimination (O3, O4),
+    * group-aggregate elimination (O2+), then local and global DCE. */
+  private[core] def step(level: Int, cat: Catalog)(p: Program): Program = {
+    val sj = if (level >= 3) selfJoinElim(p, cat) else p
+    globalDce(localDce(if (level >= 2) groupAggElim(sj, cat) else sj))
   }
 
   /** Apply `step` until the program stops changing; a pass that has not
@@ -39,87 +48,122 @@ object Optimizer {
     sys.error(s"optimizer: pass $pass did not converge in 10 steps; last program:\n${show(cur)}")
   }
 
+  /** Visit every relation atom of `atoms`, inside `exists` bodies too. */
+  private def foreachRelAtom(atoms: Vector[Atom])(f: RelAtom => Unit): Unit = atoms.foreach {
+    case ra: RelAtom      => f(ra)
+    case ExistsAtom(b, _) => foreachRelAtom(b)(f)
+    case _                => ()
+  }
+
+  /** Visit every variable occurrence of an atom (its `allVars`, with repeats). */
+  private def foreachVar(a: Atom)(f: String => Unit): Unit = a match {
+    case RelAtom(_, vs, on) => vs.foreach(f); on.foreach(_._2.foreachVar(f))
+    case ConstAtom(vs, _)   => vs.foreach(f)
+    case PredAtom(t)        => t.foreachVar(f)
+    case AssignAtom(v, t)   => f(v); t.foreachVar(f)
+    case ExistsAtom(b, _)   => b.foreach(foreachVar(_)(f))
+  }
+
+  /** Rename every variable of an atom, at any depth, through `f`. */
+  private def renameAtom(f: String => String)(a: Atom): Atom = a match {
+    case RelAtom(rel, vs, o) => RelAtom(rel, vs.map(f), o.map { case (k, t) => (k, t.rename(f)) })
+    case PredAtom(t)         => PredAtom(t.rename(f))
+    case AssignAtom(v, t)    => AssignAtom(f(v), t.rename(f))
+    case ExistsAtom(b, n)    => ExistsAtom(b.map(renameAtom(f)), n)
+    case ConstAtom(vs, rs)   => ConstAtom(vs.map(f), rs)
+  }
+
   // ------------------------------------------------- local DCE (per rule)
   /** Remove assignments whose variable is referenced nowhere in the rule
-    * (not in the head, group, other atoms, or other assignments). */
+    * (not in the head, group, other atoms, or other live assignments). */
   def localDce(p: Program): Program = p.copy(rules = p.rules.map(localDce))
 
+  /** References are counted once. Removing a var's assignments (all of them
+    * together) releases the vars of their terms, and a var whose count drops
+    * to zero is removed in turn. */
   def localDce(r: Rule): Rule = {
-    val used: Set[String] =
-      r.head.cols.flatMap(_._2.vars).toSet ++ r.head.group ++
-        r.body.flatMap {
-          case AssignAtom(_, t) => t.vars
-          case a                => a.allVars
-        }
-    val keep = r.body.filter {
-      case AssignAtom(v, _) => used.contains(v)
-      case _                => true
+    val assigned = mutable.HashMap[String, List[Term]]()
+    r.body.foreach { case AssignAtom(v, t) => assigned(v) = t :: assigned.getOrElse(v, Nil); case _ => }
+    if (assigned.isEmpty) return r
+    val refs = mutable.HashMap[String, Int]()
+    val ref: String => Unit = v => refs(v) = refs.getOrElse(v, 0) + 1
+    r.head.cols.foreach(_._2.foreachVar(ref))
+    r.head.group.foreach(ref)
+    r.body.foreach { case AssignAtom(_, t) => t.foreachVar(ref); case a => foreachVar(a)(ref) }
+    val dead = mutable.HashSet[String]()
+    val work = mutable.Stack.from(assigned.keys.filterNot(refs.contains))
+    while (work.nonEmpty) {
+      val v = work.pop()
+      dead += v
+      assigned(v).foreach(_.foreachVar { u => refs(u) -= 1; if (refs(u) == 0 && assigned.contains(u)) work.push(u) })
     }
-    if (keep == r.body) r else localDce(r.copy(body = keep))
+    if (dead.isEmpty) r
+    else r.copy(body = r.body.filter { case AssignAtom(v, _) => !dead(v); case _ => true })
   }
 
   // ------------------------------------------------------------ global DCE
   /** Remove head columns of intermediate rules that no downstream rule
-    * reads, and drop rules that nothing (transitively) depends on. */
+    * reads, and drop rules that nothing (transitively) depends on.
+    *
+    * One backward sweep over the rules, which are in dependency order: a
+    * rule that no later live rule reads is dead; a live rule other than the
+    * result keeps only the head positions its consumers use (all of them if
+    * they use none) and is then local-DCE'd; then its own uses of its
+    * producers are recorded. A forward pass rewrites every access to a
+    * pruned relation to the kept positions. */
   def globalDce(p: Program): Program = {
-    // 1. Drop unreachable rules.
-    val needed = scala.collection.mutable.Set[String](p.result)
-    var changed = true
-    while (changed) {
-      changed = false
-      for (r <- p.rules if needed(r.head.rel);
-           ra <- r.body.flatMap(allRelAtoms) if !needed(ra.rel)) {
-        needed += ra.rel; changed = true
-      }
-    }
-    val live = p.rules.filter(r => needed(r.head.rel))
-
-    // 2. Per intermediate relation, compute the set of used column positions.
-    //    A position is used if any consumer reads its var (in a term, the
-    //    head, group/sort) or uses it as a join variable (repeated binding).
-    val rules = live.toArray
-    def usedPositions(rel: String): Set[Int] = {
-      val res = scala.collection.mutable.Set[Int]()
-      // Term-level var references at any nesting depth (incl. exists bodies).
-      def termVars(a: Atom): Seq[String] = a match {
-        case AssignAtom(_, t)             => t.vars.toSeq
-        case PredAtom(t)                  => t.vars.toSeq
-        case RelAtom(_, _, Some((_, on))) => on.vars.toSeq
-        case ExistsAtom(b, _)             => b.flatMap(termVars)
-        case _                            => Seq.empty
-      }
-      for (r <- rules; atom <- r.body; ra <- allRelAtoms(atom) if ra.rel == rel) {
-        // vars referenced anywhere in the rule other than as this atom's bare binding
-        val counts = r.body.flatMap(allRelAtoms).flatMap(_.vars).groupBy(identity).map { case (k, v) => k -> v.size }
-        val referenced: Set[String] =
-          r.head.cols.flatMap(_._2.vars).toSet ++ r.head.group ++ r.body.flatMap(termVars)
-        ra.vars.zipWithIndex.foreach { case (v, i) =>
-          if (referenced.contains(v) || counts.getOrElse(v, 0) > 1) res += i
-        }
-      }
-      res.toSet
-    }
-
-    // 3. Prune consumers before producers (rules are in dependency order), so
-    //    that a column dropped from a consumer's head, with the assignments
-    //    that only it read, frees the producer columns in the same call. Each
-    //    consumer's access keeps only the remaining positions.
-    for (i <- rules.indices.reverse if rules(i).head.rel != p.result) {
+    val used = mutable.HashMap[String, mutable.BitSet]() // relation read by a live rule → used positions
+    val keep = mutable.HashMap[String, Vector[Int]]()     // pruned relation → kept positions
+    val rules = p.rules.toArray
+    val live = new Array[Boolean](rules.length)
+    for (i <- rules.indices.reverse if rules(i).head.rel == p.result || used.contains(rules(i).head.rel)) {
       val r = rules(i)
-      val used = usedPositions(r.head.rel)
-      if (used.nonEmpty && used.size < r.head.cols.size) {
-        val keep = r.head.cols.indices.filter(used).toVector
-        def fixAtom(a: Atom): Atom = a match {
-          case ra: RelAtom if ra.rel == r.head.rel => ra.copy(vars = keep.map(ra.vars))
-          case ExistsAtom(b, n)                    => ExistsAtom(b.map(fixAtom), n)
-          case other                               => other
-        }
-        rules(i) = localDce(r.copy(head = r.head.copy(cols = keep.map(r.head.cols))))
-        for (j <- rules.indices if rules(j).body.flatMap(allRelAtoms).exists(_.rel == r.head.rel))
-          rules(j) = rules(j).copy(body = rules(j).body.map(fixAtom))
+      live(i) = true
+      val u = used.getOrElse(r.head.rel, mutable.BitSet.empty)
+      if (r.head.rel != p.result && u.nonEmpty && u.size < r.head.cols.size) {
+        keep(r.head.rel) = u.toVector
+        rules(i) = localDce(r.copy(head = r.head.copy(cols = u.toVector.map(r.head.cols))))
       }
+      recordUses(rules(i), used)
     }
-    p.copy(rules = rules.toVector)
+    if (keep.isEmpty && live.forall(identity)) return p
+    def reads(atoms: Vector[Atom]): Boolean = atoms.exists {
+      case ra: RelAtom      => keep.contains(ra.rel)
+      case ExistsAtom(b, _) => reads(b)
+      case _                => false
+    }
+    def fixAtom(a: Atom): Atom = a match {
+      case ra: RelAtom      => keep.get(ra.rel).fold(a)(k => ra.copy(vars = k.map(ra.vars)))
+      case ExistsAtom(b, n) => ExistsAtom(b.map(fixAtom), n)
+      case other            => other
+    }
+    p.copy(rules = rules.indices.collect {
+      case i if live(i) => if (reads(rules(i).body)) rules(i).copy(body = rules(i).body.map(fixAtom)) else rules(i)
+    }.toVector)
+  }
+
+  /** Record which positions of each relation `r` reads it uses: a position
+    * is used if its var is referenced in a term, the head or the group at any
+    * depth, or is bound at least twice among `r`'s relation atoms (a join). */
+  private def recordUses(r: Rule, used: mutable.HashMap[String, mutable.BitSet]): Unit = {
+    val counts = mutable.HashMap[String, Int]()
+    foreachRelAtom(r.body)(_.vars.foreach(v => counts(v) = counts.getOrElse(v, 0) + 1))
+    val referenced = mutable.HashSet[String]()
+    val add: String => Unit = referenced += _
+    r.head.cols.foreach(_._2.foreachVar(add))
+    r.head.group.foreach(add)
+    def terms(a: Atom): Unit = a match {
+      case AssignAtom(_, t)             => t.foreachVar(add)
+      case PredAtom(t)                  => t.foreachVar(add)
+      case RelAtom(_, _, Some((_, on))) => on.foreachVar(add)
+      case ExistsAtom(b, _)             => b.foreach(terms)
+      case _                            =>
+    }
+    r.body.foreach(terms)
+    foreachRelAtom(r.body) { ra =>
+      val u = used.getOrElseUpdate(ra.rel, mutable.BitSet())
+      ra.vars.indices.foreach(i => if (referenced(ra.vars(i)) || counts(ra.vars(i)) > 1) u += i)
+    }
   }
 
   // ---------------------------------------------- group-aggregate elimination
@@ -127,60 +171,51 @@ object Optimizer {
     * group key), the grouping is a no-op: drop `group` and unwrap every
     * aggregate (`sum/min/max/avg(t) → t`, `count(*) → 1`). */
   def groupAggElim(p: Program, cat: Catalog): Program = {
-    val uniq = uniqueColumns(p, cat)
-    val rules = p.rules.map { r =>
-      val singleRel = r.relAtoms.size == 1 && !r.hasOuter &&
-        !r.body.exists(_.isInstanceOf[ExistsAtom])
-      val groupUnique = r.head.group.nonEmpty && singleRel && {
-        val ra = r.relAtoms.head
-        r.head.group.exists { g =>
-          val i = ra.vars.indexOf(g)
-          i >= 0 && uniq.getOrElse(ra.rel, Set.empty).contains(i)
-        }
-      }
-      if (!groupUnique) r
-      else {
-        def unwrap(t: Term): Term = t match {
-          case TAgg("count", _, false) => TConst(1L)
-          case TAgg(_, a, _)           => unwrap(a)
-          case TIf(c, a, b)            => TIf(unwrap(c), unwrap(a), unwrap(b))
-          case TBin(o, l, rr)          => TBin(o, unwrap(l), unwrap(rr))
-          case TExt(f, as)             => TExt(f, as.map(unwrap))
-          case x                       => x
-        }
-        r.copy(
-          head = r.head.copy(group = Vector.empty,
-                             cols = r.head.cols.map { case (n, t) => n -> unwrap(t) }),
-          body = r.body.map { case AssignAtom(v, t) => AssignAtom(v, unwrap(t)); case a => a })
-      }
+    lazy val uniq = uniqueColumns(p, cat)
+    def unwrap(t: Term): Term = t match {
+      case TAgg("count", _, false) => TConst(1L)
+      case TAgg(_, a, _)           => unwrap(a)
+      case TIf(c, a, b)            => TIf(unwrap(c), unwrap(a), unwrap(b))
+      case TBin(o, l, rr)          => TBin(o, unwrap(l), unwrap(rr))
+      case TExt(f, as)             => TExt(f, as.map(unwrap))
+      case x                       => x
     }
-    p.copy(rules = rules)
+    p.copy(rules = p.rules.map { r =>
+      val groupUnique = r.head.group.nonEmpty && r.relAtoms.size == 1 && !r.hasOuter &&
+        !r.body.exists(_.isInstanceOf[ExistsAtom]) && {
+          val ra = r.relAtoms.head
+          r.head.group.exists(g => uniq.getOrElse(ra.rel, Set.empty).contains(ra.vars.indexOf(g)))
+        }
+      if (!groupUnique) r
+      else r.copy(
+        head = r.head.copy(group = Vector.empty, cols = r.head.cols.map { case (n, t) => n -> unwrap(t) }),
+        body = r.body.map { case AssignAtom(v, t) => AssignAtom(v, unwrap(t)); case a => a })
+    })
   }
 
-  /** Unique column positions per relation: catalog keys for base tables,
-    * propagated through rule heads (group keys are unique in the result;
-    * a bare projection of a unique column stays unique; UID() is unique). */
+  /** Unique column positions per relation: catalog keys for the base tables
+    * the program reads, propagated through rule heads (group keys are unique
+    * in the result; a bare projection of a unique column stays unique; UID()
+    * is unique). */
   def uniqueColumns(p: Program, cat: Catalog): Map[String, Set[Int]] = {
-    val m = scala.collection.mutable.Map[String, Set[Int]]()
-    for ((rel, cols) <- cat.schemas) {
-      val u = cat.uniqueCols.getOrElse(rel, Set.empty)
-      m(rel) = cols.zipWithIndex.collect { case (c, i) if u(c) => i }.toSet
-    }
+    val m = mutable.HashMap[String, Set[Int]]()
     for (r <- p.rules) {
+      val ras = r.relAtoms
+      for (ra <- ras if !m.contains(ra.rel); cols <- cat.schemas.get(ra.rel)) {
+        val u = cat.uniqueCols.getOrElse(ra.rel, Set.empty[String])
+        m(ra.rel) = cols.indices.filter(i => u(cols(i))).toSet
+      }
       val assignOf = r.assigns.map(a => a.v -> a.t).toMap
-      val bodyUnique: Set[String] =
-        if (r.relAtoms.size == 1)
-          r.relAtoms.head.vars.zipWithIndex.collect {
-            case (v, i) if m.getOrElse(r.relAtoms.head.rel, Set.empty).contains(i) => v
-          }.toSet
-        else Set.empty
-      val res = r.head.cols.zipWithIndex.collect {
+      val bodyUnique: Set[String] = if (ras.size != 1) Set.empty else {
+        val u = m.getOrElse(ras.head.rel, Set.empty[Int])
+        ras.head.vars.indices.filter(u).map(ras.head.vars).toSet
+      }
+      m(r.head.rel) = r.head.cols.zipWithIndex.collect {
         case ((_, TVar(v)), i)
           if (r.head.group.size == 1 && r.head.group.head == v) ||
              (r.head.group.isEmpty && bodyUnique.contains(v)) ||
              assignOf.get(v).exists { case TExt("uid", _) => true; case _ => false } => i
       }.toSet
-      m(r.head.rel) = res
     }
     m.toMap
   }
@@ -190,8 +225,8 @@ object Optimizer {
     * joined on a unique column and neither is otherwise constrained: all
     * information of the second access is available from the first. */
   def selfJoinElim(p: Program, cat: Catalog): Program = {
-    val uniq = uniqueColumns(p, cat)
-    val rules = p.rules.map { r =>
+    lazy val uniq = uniqueColumns(p, cat)
+    p.copy(rules = p.rules.map { r =>
       val atoms = r.relAtoms
       var body = r.body
       var subst = Map.empty[String, String]
@@ -199,8 +234,7 @@ object Optimizer {
         val (a, b) = (atoms(i), atoms(j))
         if (a.rel == b.rel && a.outerOn.isEmpty && b.outerOn.isEmpty && body.contains(b)) {
           val joinPos = a.vars.zip(b.vars).zipWithIndex.collect { case ((x, y), k) if x == y => k }
-          val onUnique = joinPos.exists(k => uniq.getOrElse(a.rel, Set.empty).contains(k))
-          if (joinPos.nonEmpty && onUnique) {
+          if (joinPos.exists(k => uniq.getOrElse(a.rel, Set.empty).contains(k))) {
             // substitute b's vars by a's, remove b
             subst = subst ++ b.vars.zip(a.vars).filter { case (x, y) => x != y }.toMap
             body = body.filterNot(_ eq b)
@@ -210,20 +244,10 @@ object Optimizer {
       if (subst.isEmpty) r
       else {
         val f: String => String = v => subst.getOrElse(v, v)
-        def fixAtom(at: Atom): Atom = at match {
-          case RelAtom(rel, vs, o) => RelAtom(rel, vs.map(f), o.map { case (k, t) => (k, t.rename(f)) })
-          case PredAtom(t)         => PredAtom(t.rename(f))
-          case AssignAtom(v, t)    => AssignAtom(v, t.rename(f))
-          case ExistsAtom(b2, n)   => ExistsAtom(b2.map(fixAtom), n)
-          case ConstAtom(vs, rs)   => ConstAtom(vs.map(f), rs)
-        }
-        Rule(
-          r.head.copy(cols = r.head.cols.map { case (n, t) => n -> t.rename(f) },
-                      group = r.head.group.map(f)),
-          body.map(fixAtom))
+        Rule(r.head.copy(cols = r.head.cols.map { case (n, t) => n -> t.rename(f) }, group = r.head.group.map(f)),
+             body.map(renameAtom(f)))
       }
-    }
-    p.copy(rules = rules)
+    })
   }
 
   // ----------------------------------------------------------- rule inlining
@@ -236,79 +260,78 @@ object Optimizer {
   /** Fuse chains of non-flow-breaker rules into their (single) consumer.
     * Variables of the inlined body are renamed so head columns line up with
     * the consumer's positional binding; all other internal variables get
-    * fresh names to respect relation-access renaming (§III-B). */
+    * fresh names to respect relation-access renaming (§III-B).
+    *
+    * Access counts, outer-join reads and each relation's consumer are
+    * computed once: splicing a single-consumer producer moves its accesses
+    * into the consumer, so no count changes and no rule's eligibility does.
+    * Eligible rules are spliced in program order. */
   def inlineRules(p: Program): Program = {
+    val rules = p.rules.toArray
+    val accesses = mutable.HashMap[String, Int]() // at any nesting depth
+    // Relations accessed as the right side of an outer join cannot be
+    // spliced (their filters must stay behind the join).
+    val outerRead = mutable.HashSet[String]()
+    val consumer = mutable.HashMap[String, Int]() // relation → index of the rule reading it
+    for (i <- rules.indices) foreachRelAtom(rules(i).body) { ra =>
+      accesses(ra.rel) = accesses.getOrElse(ra.rel, 0) + 1
+      if (ra.outerOn.nonEmpty) outerRead += ra.rel
+      consumer(ra.rel) = i
+    }
     val ng = new NameGen("il")
-    var rules = p.rules
-    var changed = true
-    while (changed) {
-      changed = false
-      val prog = Program(rules, p.result)
-      // count consumers of each relation (at any nesting depth)
-      val consumers: Map[String, Int] = rules
-        .flatMap(r => r.body.flatMap(allRelAtoms).map(_.rel))
-        .groupBy(identity).map { case (k, v) => k -> v.size }
-      // Relations accessed as the right side of an outer join cannot be
-      // spliced (their filters must stay behind the join).
-      val outerConsumed: Set[String] = rules.flatMap(r =>
-        r.body.flatMap(allRelAtoms).collect { case RelAtom(rel, _, Some(_)) => rel }).toSet
-      val candidate = rules.find { r =>
-        !isFlowBreaker(r, prog) && consumers.getOrElse(r.head.rel, 0) == 1 &&
-          !outerConsumed(r.head.rel) &&
-          r.head.cols.forall { case (_, t) => !t.hasAgg }
-      }
-      candidate match {
-        case None => ()
-        case Some(prod) =>
-          val rel = prod.head.rel
-          rules = rules.filterNot(_ eq prod).map { cons =>
-            if (!cons.body.flatMap(allRelAtoms).exists(_.rel == rel)) cons
-            else spliceInto(cons, prod, ng)
-          }
-          changed = true
+    val spliced = new Array[Boolean](rules.length)
+    for (i <- rules.indices) {
+      val prod = rules(i)
+      val rel = prod.head.rel
+      if (!isFlowBreaker(prod, p) && accesses.getOrElse(rel, 0) == 1 && !outerRead(rel) &&
+          prod.head.cols.forall { case (_, t) => !t.hasAgg }) {
+        val c = consumer(rel)
+        rules(c) = spliceInto(rules(c), prod, ng)
+        foreachRelAtom(prod.body)(ra => consumer(ra.rel) = c)
+        spliced(i) = true
       }
     }
-    p.copy(rules = rules)
+    if (!spliced.contains(true)) p
+    else p.copy(rules = rules.indices.collect { case i if !spliced(i) => rules(i) }.toVector)
   }
 
   /** Replace every access to `prod.head.rel` inside `cons` by `prod`'s body
-    * (with renamed variables). */
+    * (with renamed variables). A computed head column becomes an assignment
+    * to the consumer's var, or an equality where the consumer also binds
+    * that var by a relation or VALUES atom at this level or further out (a
+    * join on a computed column; an assignment there would be shadowed). */
   private def spliceInto(cons: Rule, prod: Rule, ng: NameGen): Rule = {
-    def splice(atoms: Vector[Atom]): Vector[Atom] = atoms.flatMap {
-      case ra @ RelAtom(rel, vars, outer) if rel == prod.head.rel =>
+    def binds(levels: List[Vector[Atom]], v: String): Boolean = levels.exists(_.exists {
+      case RelAtom(rel, vs, _) => rel != prod.head.rel && vs.contains(v)
+      case ConstAtom(vs, _)    => vs.contains(v)
+      case _                   => false
+    })
+    def splice(atoms: Vector[Atom], enclosing: List[Vector[Atom]]): Vector[Atom] = atoms.flatMap {
+      case RelAtom(rel, vars, outer) if rel == prod.head.rel =>
         require(outer.isEmpty, "cannot inline into outer-join access")
         // Build renaming: producer's head col i ↦ consumer var at position i.
         var ren = Map.empty[String, String]
-        val extra = scala.collection.mutable.ArrayBuffer[Atom]()
-        prod.head.cols.zipWithIndex.foreach { case ((_, t), i) =>
-          t match {
-            case TVar(v) =>
-              ren.get(v) match {
-                case Some(prev) if prev != vars(i) =>
-                  // same producer var exported twice — equate consumer vars
-                  extra += PredAtom(TBin("=", TVar(prev), TVar(vars(i))))
-                case _ => ren += v -> vars(i)
-              }
-            case other =>
-              // computed head column: emit an assignment to the consumer var
-              extra += AssignAtom(vars(i), other) // renamed below
-          }
+        val extra = mutable.ArrayBuffer[Atom]()
+        prod.head.cols.zipWithIndex.foreach {
+          case ((_, TVar(v)), i) =>
+            ren.get(v) match {
+              case Some(prev) if prev != vars(i) =>
+                // same producer var exported twice — equate consumer vars
+                extra += PredAtom(TBin("=", TVar(prev), TVar(vars(i))))
+              case _ => ren += v -> vars(i)
+            }
+          case ((_, t), i) => // renamed below
+            extra += (if (binds(atoms :: enclosing, vars(i))) PredAtom(TBin("=", TVar(vars(i)), t))
+                      else AssignAtom(vars(i), t))
         }
         // fresh names for all internal producer vars
         val internal = prod.body.flatMap(_.allVars).toSet -- ren.keySet
         val fresh = internal.map(v => v -> ng.fresh(v)).toMap
         val f: String => String = v => ren.getOrElse(v, fresh.getOrElse(v, v))
-        def ren1(a: Atom): Atom = a match {
-          case RelAtom(r2, vs, o) => RelAtom(r2, vs.map(f), o.map { case (k, t) => (k, t.rename(f)) })
-          case PredAtom(t)        => PredAtom(t.rename(f))
-          case AssignAtom(v, t)   => AssignAtom(f(v), t.rename(f))
-          case ExistsAtom(b, n)   => ExistsAtom(b.map(ren1), n)
-          case ConstAtom(vs, rs)  => ConstAtom(vs.map(f), rs)
-        }
-        prod.body.map(ren1) ++ extra.toVector.map(ren1)
-      case ExistsAtom(b, n) => Vector(ExistsAtom(splice(b), n))
+        prod.body.map(renameAtom(f)) ++ extra.toVector.map(renameAtom(f))
+      case ExistsAtom(b, n) => Vector(ExistsAtom(splice(b, atoms :: enclosing), n))
       case other            => Vector(other)
     }
-    cons.copy(body = splice(cons.body))
+    cons.copy(body = splice(cons.body, Nil))
   }
 }

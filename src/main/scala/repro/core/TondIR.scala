@@ -16,13 +16,20 @@ object TondIR {
   // ------------------------------------------------------------------ terms
   sealed trait Term {
     /** All variable names referenced by this term. */
-    def vars: Set[String] = this match {
-      case TVar(n)          => Set(n)
-      case TConst(_)        => Set.empty
-      case TAgg(_, a, _)    => a.vars
-      case TExt(_, as)      => as.flatMap(_.vars).toSet
-      case TIf(c, t, e)     => c.vars ++ t.vars ++ e.vars
-      case TBin(_, l, r)    => l.vars ++ r.vars
+    def vars: Set[String] = {
+      val b = Set.newBuilder[String]
+      foreachVar(b += _)
+      b.result()
+    }
+
+    /** Apply `f` to every variable occurrence, left to right. */
+    def foreachVar(f: String => Unit): Unit = this match {
+      case TVar(n)       => f(n)
+      case TConst(_)     => ()
+      case TAgg(_, a, _) => a.foreachVar(f)
+      case TExt(_, as)   => as.foreach(_.foreachVar(f))
+      case TIf(c, t, e)  => c.foreachVar(f); t.foreachVar(f); e.foreachVar(f)
+      case TBin(_, l, r) => l.foreachVar(f); r.foreachVar(f)
     }
 
     /** True iff an aggregation appears anywhere in this term. */

@@ -2,8 +2,11 @@ package repro
 
 import java.sql.Connection
 import org.apache.spark.sql.DataFrame
-import repro.data.TpchData
+import repro.core.Catalog
+import repro.data.{NotebookData, TpchData}
+import repro.frontend.Dsl
 import repro.mini.MiniPandas
+import repro.workloads.{Hybrid, Notebooks, Tpch}
 
 /** Shared, lazily-materialized SF=0.01 TPC-H inputs for the whole test run:
   * cached Spark DataFrames, a DuckDB connection pre-loaded with the same
@@ -11,6 +14,12 @@ import repro.mini.MiniPandas
   * every engine sees identical data. */
 object TestData {
   val SF = 0.01
+
+  /** The 30 workload programs (22 TPC-H queries, 4 notebooks, 4 hybrid
+    * programs), each with the catalog it is written against. */
+  lazy val programs: Vector[(String, Catalog, Dsl.Df)] =
+    Tpch.all.map(q => (s"Q${q.id}", TpchData.catalog, q.build(TpchData.catalog))) ++
+      (Notebooks.all ++ Hybrid.all).map(w => (w.name, NotebookData.catalog, w.build(NotebookData.catalog)))
 
   lazy val spark = SparkSpec.shared
 

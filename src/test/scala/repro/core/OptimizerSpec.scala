@@ -34,6 +34,31 @@ class OptimizerSpec extends AnyFunSuite {
     assert(Optimizer.localDce(rule).assigns.map(_.v).toSet == Set("s", "t"))
   }
 
+  test("local DCE removes a chain of three dead assignments in one call") {
+    // R1(a) :- R(a,b,c,d), (x=b), (y=x+c), (z=y*d).   — z, then y, then x die
+    val rule = Rule(Head("R1", Vector("a" -> v("a"))),
+      Vector(RelAtom("R", Vector("a", "b", "c", "d")),
+             AssignAtom("x", v("b")),
+             AssignAtom("y", TBin("+", v("x"), v("c"))),
+             AssignAtom("z", TBin("*", v("y"), v("d")))))
+    assert(Optimizer.localDce(rule).body == Vector(RelAtom("R", Vector("a", "b", "c", "d"))))
+  }
+
+  test("local DCE keeps or removes all assignments to one var together") {
+    val body = Vector(RelAtom("R", Vector("a", "b", "c", "d")), AssignAtom("s", v("b")), AssignAtom("s", v("c")))
+    val kept = Rule(Head("R1", Vector("s" -> v("s"))), body)
+    assert(Optimizer.localDce(kept) eq kept)
+    assert(Optimizer.localDce(Rule(Head("R1", Vector("a" -> v("a"))), body)).assigns.isEmpty)
+  }
+
+  test("local DCE keeps an assignment used only inside an exists body") {
+    val rule = Rule(Head("R1", Vector("a" -> v("a"))),
+      Vector(RelAtom("R", Vector("a", "b", "c", "d")),
+             AssignAtom("t", TBin("*", v("b"), TConst(2L))),
+             ExistsAtom(Vector(RelAtom("S", Vector("id", "x", "y")), PredAtom(TBin(">", v("x"), v("t")))))))
+    assert(Optimizer.localDce(rule) eq rule)
+  }
+
   // --------------------------------------------------------- global DCE
   test("global DCE prunes head columns unused downstream (paper §IV example)") {
     // R1(a,b,c,d) :- R(a,b,c,d), (a<10), (c=d).
@@ -59,6 +84,26 @@ class OptimizerSpec extends AnyFunSuite {
     val r2 = Rule(Head("Live", Vector("a" -> v("x"))), Vector(RelAtom("R", Vector("x", "y", "z", "w"))))
     val out = Optimizer.globalDce(Program(Vector(r1, r2), "Live"))
     assert(out.rules.map(_.head.rel) == Vector("Live"))
+  }
+
+  test("global DCE keeps a producer position whose var joins two of the consumer's relation atoms") {
+    // P(a,b,c) :- R(a,b,c,d).   Q(x) :- P(j,y,z), S(j,x,w).   — j joins, y and z are unused
+    val p = Program(Vector(
+      Rule(Head("P", Vector("a" -> v("a"), "b" -> v("b"), "c" -> v("c"))), Vector(RelAtom("R", Vector("a", "b", "c", "d")))),
+      Rule(Head("Q", Vector("x" -> v("x"))), Vector(RelAtom("P", Vector("j", "y", "z")), RelAtom("S", Vector("j", "x", "w"))))), "Q")
+    val out = Optimizer.globalDce(p)
+    assert(out.rules.head.head.colNames == Vector("a"), TondIR.show(out))
+    assert(out.rules(1).relAtoms.head == RelAtom("P", Vector("j")))
+  }
+
+  test("global DCE keeps every column of a producer none of whose columns are read") {
+    // P(a,b) :- R(a,b,c,d).   Q(x) :- S(id,x,y), exists(P(p1,p2)).
+    val p = Program(Vector(
+      Rule(Head("P", Vector("a" -> v("a"), "b" -> v("b"))), Vector(RelAtom("R", Vector("a", "b", "c", "d")))),
+      Rule(Head("Q", Vector("x" -> v("x"))),
+           Vector(RelAtom("S", Vector("id", "x", "y")), ExistsAtom(Vector(RelAtom("P", Vector("p1", "p2"))))))), "Q")
+    val out = Optimizer.globalDce(p)
+    assert(out == p && (out.rules.head eq p.rules.head), TondIR.show(out))
   }
 
   // ---------------------------------------- group-aggregate elimination
@@ -161,6 +206,27 @@ class OptimizerSpec extends AnyFunSuite {
              RelAtom("F", Vector("fid", "fx"), Some(("left", TBin("=", v("a"), v("fid")))))))
     val out = Optimizer.inlineRules(Program(Vector(filt, lj), "L"))
     assert(out.rules.size == 2)
+  }
+
+  test("rule inlining splices a three-rule chain and keeps the outer-joined relation") {
+    // A(a,b) :- R(a,b,c,d), (a>1).   B(a,b) :- A(a2,b2), (b2<5).
+    // F(id,x) :- S(id,x,y), (x>0).   C(a,x) :- B(a3,b3), outer_left[F(fid,x3) on a3 = fid].
+    val rules = Vector(
+      Rule(Head("A", Vector("a" -> v("a"), "b" -> v("b"))),
+           Vector(RelAtom("R", Vector("a", "b", "c", "d")), PredAtom(TBin(">", v("a"), TConst(1L))))),
+      Rule(Head("B", Vector("a" -> v("a2"), "b" -> v("b2"))),
+           Vector(RelAtom("A", Vector("a2", "b2")), PredAtom(TBin("<", v("b2"), TConst(5L))))),
+      Rule(Head("F", Vector("id" -> v("i"), "x" -> v("xx"))),
+           Vector(RelAtom("S", Vector("i", "xx", "yy")), PredAtom(TBin(">", v("xx"), TConst(0L))))),
+      Rule(Head("C", Vector("a" -> v("a3"), "x" -> v("x3"))),
+           Vector(RelAtom("B", Vector("a3", "b3")),
+                  RelAtom("F", Vector("fid", "x3"), Some(("left", TBin("=", v("a3"), v("fid"))))))))
+    val out = Optimizer.inlineRules(Program(rules, "C"))
+    assert(out.rules.map(_.head.rel) == Vector("F", "C"), TondIR.show(out))
+    assert(out.rules(0) eq rules(2))
+    assert(show(out.rules(1)) ==
+      "C(a=a3, x=x3) :- R(a3, b3, c_1_3, d_2_4), ((a3 > 1)), ((b3 < 5)), outer_left[F(fid, x3) on (a3 = fid)].")
+    assert(IrCheck.violations(out, cat).isEmpty)
   }
 
   test("optimization levels compose monotonically (rule count never grows)") {

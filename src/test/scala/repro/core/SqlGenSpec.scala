@@ -199,6 +199,16 @@ class SqlGenSpec extends SparkSpec {
       "AND NOT EXISTS (SELECT 1 FROM u WHERE u.k = t.k AND y > 3)")
   }
 
+  test("join on a computed column survives O4 inlining") {
+    // P(k2 = k + 1) :- t(k, s, x).   r(k2, y) :- P(k2), u(k2, y).
+    val p = Program(Vector(
+      Rule(Head("P", Vector("k2" -> TBin("+", v("k"), TConst(1L)))), Vector(tk)),
+      Rule(Head("r", Vector("k2" -> v("k2"), "y" -> v("y"))),
+           Vector(RelAtom("P", Vector("k2")), RelAtom("u", Vector("k2", "y"))))), "r")
+    for (level <- Seq(0, 4))
+      run(Optimizer.optimize(p, cat, level), "SELECT t.k + 1 AS k2, y FROM t JOIN u ON t.k + 1 = u.k")
+  }
+
   test("a variable two levels out: correlated SQL, a named SparkGen error") {
     val inner = ExistsAtom(Vector(RelAtom("u", Vector("j", "y2")), PredAtom(TBin(">", TBin("*", v("y2"), TConst(2.0)), v("x")))))
     val p = existsRule(ExistsAtom(Vector(RelAtom("u", Vector("k", "y")), inner)))
