@@ -48,31 +48,6 @@ object Optimizer {
     sys.error(s"optimizer: pass $pass did not converge in 10 steps; last program:\n${show(cur)}")
   }
 
-  /** Visit every relation atom of `atoms`, inside `exists` bodies too. */
-  private def foreachRelAtom(atoms: Vector[Atom])(f: RelAtom => Unit): Unit = atoms.foreach {
-    case ra: RelAtom      => f(ra)
-    case ExistsAtom(b, _) => foreachRelAtom(b)(f)
-    case _                => ()
-  }
-
-  /** Visit every variable occurrence of an atom (its `allVars`, with repeats). */
-  private def foreachVar(a: Atom)(f: String => Unit): Unit = a match {
-    case RelAtom(_, vs, on) => vs.foreach(f); on.foreach(_._2.foreachVar(f))
-    case ConstAtom(vs, _)   => vs.foreach(f)
-    case PredAtom(t)        => t.foreachVar(f)
-    case AssignAtom(v, t)   => f(v); t.foreachVar(f)
-    case ExistsAtom(b, _)   => b.foreach(foreachVar(_)(f))
-  }
-
-  /** Rename every variable of an atom, at any depth, through `f`. */
-  private def renameAtom(f: String => String)(a: Atom): Atom = a match {
-    case RelAtom(rel, vs, o) => RelAtom(rel, vs.map(f), o.map { case (k, t) => (k, t.rename(f)) })
-    case PredAtom(t)         => PredAtom(t.rename(f))
-    case AssignAtom(v, t)    => AssignAtom(f(v), t.rename(f))
-    case ExistsAtom(b, n)    => ExistsAtom(b.map(renameAtom(f)), n)
-    case ConstAtom(vs, rs)   => ConstAtom(vs.map(f), rs)
-  }
-
   // ------------------------------------------------- local DCE (per rule)
   /** Remove assignments whose variable is referenced nowhere in the rule
     * (not in the head, group, other atoms, or other live assignments). */
@@ -89,7 +64,7 @@ object Optimizer {
     val ref: String => Unit = v => refs(v) = refs.getOrElse(v, 0) + 1
     r.head.cols.foreach(_._2.foreachVar(ref))
     r.head.group.foreach(ref)
-    r.body.foreach { case AssignAtom(_, t) => t.foreachVar(ref); case a => foreachVar(a)(ref) }
+    r.body.foreach { case AssignAtom(_, t) => t.foreachVar(ref); case a => a.foreachVar(ref) }
     val dead = mutable.HashSet[String]()
     val work = mutable.Stack.from(assigned.keys.filterNot(refs.contains))
     while (work.nonEmpty) {
@@ -127,43 +102,42 @@ object Optimizer {
       recordUses(rules(i), used)
     }
     if (keep.isEmpty && live.forall(identity)) return p
-    def reads(atoms: Vector[Atom]): Boolean = atoms.exists {
-      case ra: RelAtom      => keep.contains(ra.rel)
-      case ExistsAtom(b, _) => reads(b)
-      case _                => false
-    }
+    def reads(r: Rule): Boolean = { var hit = false; r.body.foreach(_.foreachRelAtom(ra => hit ||= keep.contains(ra.rel))); hit }
     def fixAtom(a: Atom): Atom = a match {
       case ra: RelAtom      => keep.get(ra.rel).fold(a)(k => ra.copy(vars = k.map(ra.vars)))
       case ExistsAtom(b, n) => ExistsAtom(b.map(fixAtom), n)
       case other            => other
     }
     p.copy(rules = rules.indices.collect {
-      case i if live(i) => if (reads(rules(i).body)) rules(i).copy(body = rules(i).body.map(fixAtom)) else rules(i)
+      case i if live(i) => if (reads(rules(i))) rules(i).copy(body = rules(i).body.map(fixAtom)) else rules(i)
     }.toVector)
   }
 
   /** Record which positions of each relation `r` reads it uses: a position
     * is used if its var is referenced in a term, the head or the group at any
-    * depth, or is bound at least twice among `r`'s relation atoms (a join). */
+    * depth, or is a join variable of one of `r`'s body levels (see
+    * [[TondIR.Scope]]). */
   private def recordUses(r: Rule, used: mutable.HashMap[String, mutable.BitSet]): Unit = {
-    val counts = mutable.HashMap[String, Int]()
-    foreachRelAtom(r.body)(_.vars.foreach(v => counts(v) = counts.getOrElse(v, 0) + 1))
-    val referenced = mutable.HashSet[String]()
-    val add: String => Unit = referenced += _
+    val needed = mutable.HashSet[String]()
+    val add: String => Unit = needed += _
     r.head.cols.foreach(_._2.foreachVar(add))
     r.head.group.foreach(add)
-    def terms(a: Atom): Unit = a match {
-      case AssignAtom(_, t)             => t.foreachVar(add)
-      case PredAtom(t)                  => t.foreachVar(add)
-      case RelAtom(_, _, Some((_, on))) => on.foreachVar(add)
-      case ExistsAtom(b, _)             => b.foreach(terms)
-      case _                            =>
+    def level(s: Scope): Unit = {
+      s.foreachJoinVar(add)
+      s.atoms.foreach {
+        case RelAtom(_, _, on) => on.foreach(_._2.foreachVar(add))
+        case AssignAtom(_, t)  => t.foreachVar(add)
+        case PredAtom(t)       => t.foreachVar(add)
+        case e: ExistsAtom     => level(s.sub(e))
+        case _: ConstAtom      =>
+      }
     }
-    r.body.foreach(terms)
-    foreachRelAtom(r.body) { ra =>
+    level(new Scope(r.body))
+    val mark: RelAtom => Unit = { ra =>
       val u = used.getOrElseUpdate(ra.rel, mutable.BitSet())
-      ra.vars.indices.foreach(i => if (referenced(ra.vars(i)) || counts(ra.vars(i)) > 1) u += i)
+      ra.vars.indices.foreach(i => if (needed(ra.vars(i))) u += i)
     }
+    r.body.foreach(_.foreachRelAtom(mark))
   }
 
   // ---------------------------------------------- group-aggregate elimination
@@ -245,7 +219,7 @@ object Optimizer {
       else {
         val f: String => String = v => subst.getOrElse(v, v)
         Rule(r.head.copy(cols = r.head.cols.map { case (n, t) => n -> t.rename(f) }, group = r.head.group.map(f)),
-             body.map(renameAtom(f)))
+             body.map(_.rename(f)))
       }
     })
   }
@@ -273,11 +247,11 @@ object Optimizer {
     // spliced (their filters must stay behind the join).
     val outerRead = mutable.HashSet[String]()
     val consumer = mutable.HashMap[String, Int]() // relation → index of the rule reading it
-    for (i <- rules.indices) foreachRelAtom(rules(i).body) { ra =>
+    for (i <- rules.indices) rules(i).body.foreach(_.foreachRelAtom { ra =>
       accesses(ra.rel) = accesses.getOrElse(ra.rel, 0) + 1
       if (ra.outerOn.nonEmpty) outerRead += ra.rel
       consumer(ra.rel) = i
-    }
+    })
     val ng = new NameGen("il")
     val spliced = new Array[Boolean](rules.length)
     for (i <- rules.indices) {
@@ -287,7 +261,7 @@ object Optimizer {
           prod.head.cols.forall { case (_, t) => !t.hasAgg }) {
         val c = consumer(rel)
         rules(c) = spliceInto(rules(c), prod, ng)
-        foreachRelAtom(prod.body)(ra => consumer(ra.rel) = c)
+        prod.body.foreach(_.foreachRelAtom(ra => consumer(ra.rel) = c))
         spliced(i) = true
       }
     }
@@ -297,16 +271,11 @@ object Optimizer {
 
   /** Replace every access to `prod.head.rel` inside `cons` by `prod`'s body
     * (with renamed variables). A computed head column becomes an assignment
-    * to the consumer's var, or an equality where the consumer also binds
-    * that var by a relation or VALUES atom at this level or further out (a
-    * join on a computed column; an assignment there would be shadowed). */
+    * to the consumer's var, or an equality where that var is a join variable
+    * of its level (a join on a computed column; an assignment there would be
+    * shadowed). */
   private def spliceInto(cons: Rule, prod: Rule, ng: NameGen): Rule = {
-    def binds(levels: List[Vector[Atom]], v: String): Boolean = levels.exists(_.exists {
-      case RelAtom(rel, vs, _) => rel != prod.head.rel && vs.contains(v)
-      case ConstAtom(vs, _)    => vs.contains(v)
-      case _                   => false
-    })
-    def splice(atoms: Vector[Atom], enclosing: List[Vector[Atom]]): Vector[Atom] = atoms.flatMap {
+    def splice(s: Scope): Vector[Atom] = s.atoms.flatMap {
       case RelAtom(rel, vars, outer) if rel == prod.head.rel =>
         require(outer.isEmpty, "cannot inline into outer-join access")
         // Build renaming: producer's head col i ↦ consumer var at position i.
@@ -321,17 +290,16 @@ object Optimizer {
               case _ => ren += v -> vars(i)
             }
           case ((_, t), i) => // renamed below
-            extra += (if (binds(atoms :: enclosing, vars(i))) PredAtom(TBin("=", TVar(vars(i)), t))
-                      else AssignAtom(vars(i), t))
+            extra += (if (s.isJoinVar(vars(i))) PredAtom(TBin("=", TVar(vars(i)), t)) else AssignAtom(vars(i), t))
         }
         // fresh names for all internal producer vars
         val internal = prod.body.flatMap(_.allVars).toSet -- ren.keySet
         val fresh = internal.map(v => v -> ng.fresh(v)).toMap
         val f: String => String = v => ren.getOrElse(v, fresh.getOrElse(v, v))
-        prod.body.map(renameAtom(f)) ++ extra.toVector.map(renameAtom(f))
-      case ExistsAtom(b, n) => Vector(ExistsAtom(splice(b, atoms :: enclosing), n))
-      case other            => Vector(other)
+        prod.body.map(_.rename(f)) ++ extra.toVector.map(_.rename(f))
+      case e @ ExistsAtom(_, n) => Vector(ExistsAtom(splice(s.sub(e)), n))
+      case other                => Vector(other)
     }
-    cons.copy(body = splice(cons.body, Nil))
+    cons.copy(body = splice(new Scope(cons.body)))
   }
 }

@@ -42,8 +42,7 @@ object SparkGen {
                           tags: Iterator[String]): DataFrame = {
     // Aggregate predicates become HAVING; the rest of the body is joined and filtered.
     val (having, rest) = rule.body.partition { case PredAtom(t) => t.hasAgg; case _ => false }
-    val (withExists, scope, _) = body(rest, None, rels, spark, tags)
-    def colOf(v: String): Column = scope.colOf(v, u => sys.error(s"sparkgen: unbound var $u in ${show(rule)}"))
+    val (withExists, colOf, _) = body(new Scope(rest), u => sys.error(s"sparkgen: unbound var $u in ${show(rule)}"), rels, spark, tags)
     val havingPreds = having.collect { case PredAtom(t) => t }
 
     val headCols = rule.head.cols
@@ -88,30 +87,21 @@ object SparkGen {
     rule.head.limit.map(n => sorted.limit(n.toInt)).getOrElse(sorted)
   }
 
-  /** The variables of one body level: joined columns and assignments. */
-  private final case class Scope(cols: Map[String, String], assignOf: Map[String, Term], outer: Option[Scope]) {
-    def sees(v: String): Boolean = cols.contains(v) || assignOf.contains(v) || outer.exists(_.sees(v))
-    /** Column of `v` at this level; variables bound elsewhere resolve through `miss`. */
-    def colOf(v: String, miss: String => Column): Column =
-      cols.get(v).map(col).getOrElse(assignOf.get(v).map(render(_, colOf(_, miss))).getOrElse(miss(v)))
-    /** Column of `v` as a semi-join of a sub-body sees it: this level only. */
-    def joinCol(v: String): Column = colOf(v, u =>
-      if (outer.exists(_.sees(u))) sys.error(s"sparkgen: $u is bound two levels out of an exists body; a semi-join cannot reach it")
-      else sys.error(s"sparkgen: unbound var $u"))
-  }
-
-  /** One body level inside `outer` → (DataFrame, scope, correlation
-    * conditions). Joins the relation/constant atoms left-to-right, filters on
-    * the predicates local to this level, and semi/anti-joins each `exists`
-    * atom against its sub-body, built by this same function. A sub-body
+  /** One body level → (DataFrame, resolve, correlation conditions). Joins
+    * the relation/constant atoms left-to-right, filters on the predicates
+    * local to this level, and semi/anti-joins each `exists` atom against its
+    * sub-body, built by this same function. `resolve` maps a variable to its
+    * column here, else its assignment, else through `outer`. A sub-body
     * correlates with its enclosing level through shared variables and
     * through predicates that mention an enclosing variable. */
-  private def body(atoms: Vector[Atom], outer: Option[Scope], rels: Map[String, DataFrame],
-                   spark: SparkSession, tags: Iterator[String]): (DataFrame, Scope, Vector[Column]) = {
+  private def body(scope: Scope, outer: String => Column, rels: Map[String, DataFrame],
+                   spark: SparkSession, tags: Iterator[String]): (DataFrame, String => Column, Vector[Column]) = {
     val tag = tags.next()
-    val items = atoms.collect { case r: RelAtom => Left(r); case c: ConstAtom => Right(c) }
+    val items = scope.atoms.collect { case r: RelAtom => Left(r); case c: ConstAtom => Right(c) }
     require(items.nonEmpty, "empty body")
     var env = ListMap.empty[String, String]   // var → unique column, in binding order
+    def colOf(miss: String => Column)(v: String): Column =
+      env.get(v).map(col).getOrElse(scope.assignOf.get(v).map(render(_, colOf(miss))).getOrElse(miss(v)))
     var df: DataFrame = null
     items.zipWithIndex.foreach { case (item, i) =>
       val (src, vars, outerOn) = item match {
@@ -135,28 +125,27 @@ object SparkGen {
       df = outerOn match {
         case _ if i == 0 => conds.foldLeft(renamed)(_ where _)
         case Some((kind, on)) =>
-          val onScope = Scope(env, Map.empty, outer)
           val jt = kind match { case "left" => "left"; case "right" => "right"; case "full" => "full" }
-          df.join(renamed, (conds :+ render(on, onScope.colOf(_, outerCol(outer)))).reduce(_ && _), jt)
+          df.join(renamed, (conds :+ render(on, colOf(outer))).reduce(_ && _), jt)
         case None => df.join(renamed, conds.reduceOption(_ && _).getOrElse(lit(true)), "inner")
       }
     }
-    val scope = Scope(env, atoms.collect { case AssignAtom(v, t) => v -> t }.toMap, outer)
-    def local(t: Term): Boolean = t.vars.forall(v => !outer.exists(_.sees(v)) &&
-      (env.contains(v) || scope.assignOf.get(v).exists(local)))
-    val resolve: String => Column = scope.colOf(_, outerCol(outer))
-    val (localPreds, corrPreds) = atoms.collect { case PredAtom(t) => t }.partition(local)
+    def local(t: Term): Boolean = t.vars.forall(v => !scope.outer.exists(_.sees(v)) &&
+      (scope.binds.contains(v) || scope.assignOf.get(v).exists(local)))
+    val resolve: String => Column = colOf(outer)
+    // A semi-join sees only the columns of its two sides: this level's.
+    val joinCol: String => Column = colOf(u =>
+      if (scope.outer.exists(_.sees(u))) sys.error(s"sparkgen: $u is bound two levels out of an exists body; a semi-join cannot reach it")
+      else sys.error(s"sparkgen: unbound var $u"))
+    val (localPreds, corrPreds) = scope.atoms.collect { case PredAtom(t) => t }.partition(local)
     val filtered = localPreds.foldLeft(df)((d, t) => d.where(render(t, resolve)))
-    val withExists = atoms.collect { case e: ExistsAtom => e }.foldLeft(filtered) { (d, e) =>
-      val (inner, _, conds) = body(e.body, Some(scope), rels, spark, tags)
+    val withExists = scope.atoms.collect { case e: ExistsAtom => e }.foldLeft(filtered) { (d, e) =>
+      val (inner, _, conds) = body(scope.sub(e), joinCol, rels, spark, tags)
       d.join(inner, conds.reduceOption(_ && _).getOrElse(lit(true)), if (e.negated) "left_anti" else "left_semi")
     }
-    val shared = env.toVector.collect { case (v, c) if outer.exists(_.sees(v)) => outer.get.joinCol(v) === col(c) }
-    (withExists, scope, shared ++ corrPreds.map(render(_, resolve)))
+    val shared = env.toVector.collect { case (v, c) if scope.outer.exists(_.sees(v)) => outer(v) === col(c) }
+    (withExists, resolve, shared ++ corrPreds.map(render(_, resolve)))
   }
-
-  private def outerCol(outer: Option[Scope]): String => Column = v =>
-    outer.map(_.joinCol(v)).getOrElse(sys.error(s"sparkgen: unbound var $v"))
 
   private def litType(v: Any): DataType = v match {
     case _: Int | _: Long => LongType

@@ -74,18 +74,6 @@ object SqlGen {
     case TExt(f, _)             => sys.error(s"sqlgen: unknown external $f")
   }
 
-  /** Variable environment of one body level: resolves a variable to a
-    * column reference or an inlined assignment, else through `outer`. */
-  private final class Env(assignOf: Map[String, Term], outer: Option[Env]) {
-    val bound = scala.collection.mutable.Map[String, String]()
-
-    def lookup(v: String): Option[String] =
-      bound.get(v).orElse(assignOf.get(v).map(t => s"(${term(t, resolve)})"))
-        .orElse(outer.flatMap(_.lookup(v)))
-
-    def resolve(v: String): String = lookup(v).getOrElse(sys.error(s"sqlgen: unbound var $v"))
-  }
-
   /** Column names of a relation: from earlier rule heads, else the catalog. */
   private def schemaOf(rel: String, p: Program, cat: Catalog): Vector[String] =
     p.defining(rel).map(_.head.colNames).getOrElse(cat.schema(rel))
@@ -94,22 +82,24 @@ object SqlGen {
     var aliasN = 0
     def nextAlias(): String = { aliasN += 1; s"t$aliasN" }
 
-    /** One body level inside `outer` → (FROM chain, WHERE conditions, env).
-      * A variable bound by an enclosing level correlates by equality; an
-      * `exists` atom becomes a subquery over the same function. */
-    def body(atoms: Vector[Atom], outer: Option[Env]): (String, Vector[String], Env) = {
-      val env = new Env(atoms.collect { case AssignAtom(v, t) => v -> t }.toMap, outer)
+    /** One body level → (FROM chain, WHERE conditions, resolve): a variable
+      * resolves to its column here, else to its assignment, else through
+      * `outer`. One bound here and by an enclosing level correlates by
+      * equality; an `exists` atom becomes a subquery over the same function. */
+    def body(scope: Scope, outer: String => String): (String, Vector[String], String => String) = {
+      val bound = scala.collection.mutable.Map[String, String]() // var → column reference
+      def resolve(v: String): String = bound.getOrElse(v, scope.assignOf.get(v).fold(outer(v))(t => s"(${term(t, resolve)})"))
       val where = scala.collection.mutable.ArrayBuffer[String]()
       val correlations = scala.collection.mutable.ArrayBuffer[String]()
       /** Bind; returns the join equality if the var was already bound here. */
-      def bind(v: String, colRef: String): Option[String] = env.bound.get(v) match {
+      def bind(v: String, colRef: String): Option[String] = bound.get(v) match {
         case Some(prev) => Some(s"$prev = $colRef")
         case None =>
-          outer.flatMap(_.lookup(v)).foreach(o => correlations += s"$o = $colRef")
-          env.bound(v) = colRef; None
+          if (scope.outer.exists(_.sees(v))) correlations += s"${outer(v)} = $colRef"
+          bound(v) = colRef; None
       }
-      val fromItems = atoms.collect { case r: RelAtom => Left(r); case c: ConstAtom => Right(c) }
-      require(fromItems.nonEmpty, s"body with empty FROM: ${atoms.map(show).mkString(", ")}")
+      val fromItems = scope.atoms.collect { case r: RelAtom => Left(r); case c: ConstAtom => Right(c) }
+      require(fromItems.nonEmpty, s"body with empty FROM: ${scope.atoms.map(show).mkString(", ")}")
       val sb = new StringBuilder
       fromItems.zipWithIndex.foreach { case (item, i) =>
         val alias = nextAlias()
@@ -128,7 +118,7 @@ object SqlGen {
             case Some((kind, on)) =>
               val kw = kind match { case "left" => "LEFT JOIN"; case "right" => "RIGHT JOIN"
                                     case "full" => "FULL JOIN"; case k => sys.error(s"outer $k") }
-              val onSql = (conds :+ term(on, env.resolve)).mkString(" AND ")
+              val onSql = (conds :+ term(on, resolve)).mkString(" AND ")
               sb ++= s"\n  $kw $src ON $onSql"
             case None if conds.nonEmpty => sb ++= s"\n  JOIN $src ON ${conds.mkString(" AND ")}"
             case None                   => sb ++= s"\n  CROSS JOIN $src"
@@ -136,27 +126,27 @@ object SqlGen {
         }
       }
       where ++= correlations
-      where ++= atoms.collect { case PredAtom(t) => term(t, env.resolve) }
-      where ++= atoms.collect { case ExistsAtom(b, neg) =>
-        val (from, conds, _) = body(b, Some(env))
+      where ++= scope.atoms.collect { case PredAtom(t) => term(t, resolve) }
+      where ++= scope.atoms.collect { case e @ ExistsAtom(_, neg) =>
+        val (from, conds, _) = body(scope.sub(e), resolve)
         val whereSql = if (conds.nonEmpty) s" WHERE ${conds.mkString(" AND ")}" else ""
         s"${if (neg) "NOT " else ""}EXISTS (SELECT 1 FROM $from$whereSql)"
       }
-      (sb.toString, where.toVector, env)
+      (sb.toString, where.toVector, resolve)
     }
 
     // Aggregate predicates are the rule's HAVING; the rest of the body is FROM/WHERE.
     val (having, rest) = rule.body.partition { case PredAtom(t) => t.hasAgg; case _ => false }
-    val (fromSql, whereAll, env) = body(rest, None)
-    val selCols = rule.head.cols.map { case (n, t) => s"${term(t, env.resolve)} AS $n" }
-    val groupBy = rule.head.group.map(env.resolve)
+    val (fromSql, whereAll, resolve) = body(new Scope(rest), v => sys.error(s"sqlgen: unbound var $v"))
+    val selCols = rule.head.cols.map { case (n, t) => s"${term(t, resolve)} AS $n" }
+    val groupBy = rule.head.group.map(resolve)
 
     val q = new StringBuilder
     q ++= s"SELECT ${if (rule.head.distinct) "DISTINCT " else ""}${selCols.mkString(", ")}"
     q ++= s"\nFROM $fromSql"
     if (whereAll.nonEmpty) q ++= s"\nWHERE ${whereAll.mkString("\n  AND ")}"
     if (groupBy.nonEmpty) q ++= s"\nGROUP BY ${groupBy.mkString(", ")}"
-    if (having.nonEmpty) q ++= s"\nHAVING ${having.collect { case PredAtom(t) => term(t, env.resolve) }.mkString(" AND ")}"
+    if (having.nonEmpty) q ++= s"\nHAVING ${having.collect { case PredAtom(t) => term(t, resolve) }.mkString(" AND ")}"
     if (rule.head.sort.nonEmpty)
       q ++= s"\nORDER BY ${rule.head.sort.map { case (c, asc) => s"$c${if (asc) "" else " DESC"}" }.mkString(", ")}"
     rule.head.limit.foreach(n => q ++= s"\nLIMIT $n")

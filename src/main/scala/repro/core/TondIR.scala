@@ -68,12 +68,37 @@ object TondIR {
 
   // ------------------------------------------------------------------ atoms
   sealed trait Atom {
-    def allVars: Set[String] = this match {
-      case RelAtom(_, vs, outerOn)  => vs.toSet ++ outerOn.map(_._2.vars).getOrElse(Set.empty)
-      case ConstAtom(vs, _)         => vs.toSet
-      case PredAtom(t)              => t.vars
-      case AssignAtom(v, t)         => t.vars + v
-      case ExistsAtom(b, _)         => b.flatMap(_.allVars).toSet
+    /** Apply `f` to every variable occurrence, at any depth (an assignment's
+      * target after its term). */
+    def foreachVar(f: String => Unit): Unit = this match {
+      case RelAtom(_, vs, on) => vs.foreach(f); on.foreach(_._2.foreachVar(f))
+      case ConstAtom(vs, _)   => vs.foreach(f)
+      case PredAtom(t)        => t.foreachVar(f)
+      case AssignAtom(v, t)   => t.foreachVar(f); f(v)
+      case ExistsAtom(b, _)   => b.foreach(_.foreachVar(f))
+    }
+
+    /** All variable names of this atom, at any depth. */
+    def allVars: Set[String] = {
+      val b = Set.newBuilder[String]
+      foreachVar(b += _)
+      b.result()
+    }
+
+    /** Apply `f` to every relation atom, inside `exists` bodies too. */
+    def foreachRelAtom(f: RelAtom => Unit): Unit = this match {
+      case r: RelAtom       => f(r)
+      case ExistsAtom(b, _) => b.foreach(_.foreachRelAtom(f))
+      case _                => ()
+    }
+
+    /** Rename every variable, at any depth, through `f`. */
+    def rename(f: String => String): Atom = this match {
+      case RelAtom(rel, vs, o) => RelAtom(rel, vs.map(f), o.map { case (k, t) => (k, t.rename(f)) })
+      case ConstAtom(vs, rs)   => ConstAtom(vs.map(f), rs)
+      case PredAtom(t)         => PredAtom(t.rename(f))
+      case AssignAtom(v, t)    => AssignAtom(f(v), t.rename(f))
+      case ExistsAtom(b, n)    => ExistsAtom(b.map(_.rename(f)), n)
     }
   }
 
@@ -132,10 +157,36 @@ object TondIR {
   }
 
   /** Rel atoms at any nesting depth (including inside exists bodies). */
-  def allRelAtoms(a: Atom): Vector[RelAtom] = a match {
-    case r: RelAtom        => Vector(r)
-    case ExistsAtom(b, _)  => b.flatMap(allRelAtoms)
-    case _                 => Vector.empty
+  def allRelAtoms(a: Atom): Vector[RelAtom] = {
+    val b = Vector.newBuilder[RelAtom]
+    a.foreachRelAtom(b += _)
+    b.result()
+  }
+
+  // ------------------------------------------------------------------ scopes
+  /** Where the variables of one body level (a rule body, or an `exists` body
+    * inside the level `outer`) are bound: the IR's one definition of binding.
+    * A term may read a variable bound at its level or an enclosing one
+    * (Datalog's range restriction). A ''join variable'' of a level is bound
+    * by relation or VALUES atoms twice there, or once there while an
+    * enclosing level binds it too (by any atom). */
+  final class Scope(val atoms: Vector[Atom], val outer: Option[Scope] = None) {
+    /** Variables bound by relation and VALUES atoms at this level → how often. */
+    lazy val binds: collection.Map[String, Int] = {
+      val m = scala.collection.mutable.HashMap[String, Int]()
+      val bind: String => Unit = v => m(v) = m.getOrElse(v, 0) + 1
+      atoms.foreach { case RelAtom(_, vs, _) => vs.foreach(bind); case ConstAtom(vs, _) => vs.foreach(bind); case _ => }
+      m
+    }
+    lazy val assignOf: Map[String, Term] = atoms.collect { case AssignAtom(v, t) => v -> t }.toMap
+    /** True iff `v` is bound, by any atom, at this level or an enclosing one. */
+    def sees(v: String): Boolean = binds.contains(v) || assignOf.contains(v) || outer.exists(_.sees(v))
+    /** True iff relation or VALUES atoms bind `v` at this level or an enclosing one. */
+    def bindsRel(v: String): Boolean = binds.contains(v) || outer.exists(_.bindsRel(v))
+    def isJoinVar(v: String): Boolean = { val n = binds.getOrElse(v, 0); n > 1 || n == 1 && outer.exists(_.sees(v)) }
+    def foreachJoinVar(f: String => Unit): Unit = binds.foreachEntry((v, _) => if (isJoinVar(v)) f(v))
+    /** The scope of `e`'s body, an `exists` atom of this level. */
+    def sub(e: ExistsAtom): Scope = new Scope(e.body, Some(this))
   }
 
   // --------------------------------------------------------------- printing

@@ -96,6 +96,17 @@ class OptimizerSpec extends AnyFunSuite {
     assert(out.rules(1).relAtoms.head == RelAtom("P", Vector("j")))
   }
 
+  test("global DCE keeps a producer position whose only join is with a VALUES atom") {
+    // P(a,b,c) :- R(a,b,c,d).   Q(x) :- P(x,s,z), <s>=[("a")].   — s joins, z is unused
+    val p = Program(Vector(
+      Rule(Head("P", Vector("a" -> v("a"), "b" -> v("b"), "c" -> v("c"))), Vector(RelAtom("R", Vector("a", "b", "c", "d")))),
+      Rule(Head("Q", Vector("x" -> v("x"))),
+           Vector(RelAtom("P", Vector("x", "s", "z")), ConstAtom(Vector("s"), Vector(Vector(TConst("a"))))))), "Q")
+    val out = Optimizer.globalDce(p)
+    assert(out.rules.head.head.colNames == Vector("a", "b"), TondIR.show(out))
+    assert(out.rules(1).relAtoms.head == RelAtom("P", Vector("x", "s")))
+  }
+
   test("global DCE keeps every column of a producer none of whose columns are read") {
     // P(a,b) :- R(a,b,c,d).   Q(x) :- S(id,x,y), exists(P(p1,p2)).
     val p = Program(Vector(

@@ -209,6 +209,16 @@ class SqlGenSpec extends SparkSpec {
       run(Optimizer.optimize(p, cat, level), "SELECT t.k + 1 AS k2, y FROM t JOIN u ON t.k + 1 = u.k")
   }
 
+  test("a join with a VALUES relation survives global DCE at O0–O4") {
+    // P(k, s) :- t(k, s, x).   r(k2) :- P(k2, s2), <s2>=[("a")].
+    val p = Program(Vector(
+      Rule(Head("P", Vector("k" -> v("k"), "s" -> v("s"))), Vector(tk)),
+      Rule(Head("r", Vector("k2" -> v("k2"))),
+           Vector(RelAtom("P", Vector("k2", "s2")), ConstAtom(Vector("s2"), Vector(Vector(TConst("a"))))))), "r")
+    for (level <- 0 to 4)
+      run(Optimizer.optimize(p, cat, level), "SELECT k AS k2 FROM t WHERE s = 'a'")
+  }
+
   test("a variable two levels out: correlated SQL, a named SparkGen error") {
     val inner = ExistsAtom(Vector(RelAtom("u", Vector("j", "y2")), PredAtom(TBin(">", TBin("*", v("y2"), TConst(2.0)), v("x")))))
     val p = existsRule(ExistsAtom(Vector(RelAtom("u", Vector("k", "y")), inner)))

@@ -39,6 +39,54 @@ class TondIRSpec extends AnyFunSuite {
     assert(o.allVars == Set("x", "y"))
   }
 
+  test("atom foreachVar visits every occurrence; rename reaches every depth") {
+    val a = ExistsAtom(Vector(RelAtom("r", Vector("a", "a"), Some(("left", v("b")))), AssignAtom("c", v("a"))))
+    val seen = Vector.newBuilder[String]
+    a.foreachVar(seen += _)
+    assert(seen.result() == Vector("a", "a", "b", "a", "c"))
+    assert(a.rename(_.toUpperCase).allVars == Set("A", "B", "C"))
+  }
+
+  // ------------------------------------------------------------------ scopes
+  private val values = ConstAtom(Vector("s"), Vector(Vector(TConst("a"))))
+  private def joinVars(s: Scope): Set[String] = { val b = Set.newBuilder[String]; s.foreachJoinVar(b += _); b.result() }
+
+  test("scope: two atoms binding one variable at one level make it a join variable") {
+    val s = new Scope(Vector(RelAtom("r", Vector("k", "x")), RelAtom("u", Vector("k", "y")), AssignAtom("z", v("x"))))
+    assert(s.binds == Map("k" -> 2, "x" -> 1, "y" -> 1))
+    assert(s.isJoinVar("k") && !s.isJoinVar("x") && !s.isJoinVar("z"))
+    assert(joinVars(s) == Set("k"))
+    assert(s.assignOf == Map("z" -> v("x")))
+  }
+
+  test("scope: a variable bound inside an exists body and outside it is a join variable") {
+    val e = ExistsAtom(Vector(RelAtom("u", Vector("k", "y"))))
+    val s = new Scope(Vector(RelAtom("r", Vector("k", "x")), e))
+    assert(s.sub(e).isJoinVar("k") && !s.sub(e).isJoinVar("y"))
+    assert(s.sub(e).sees("x") && s.sub(e).bindsRel("x") && !s.sees("y"))
+  }
+
+  test("scope: sibling exists bodies sharing a name that no enclosing level binds do not join on it") {
+    val e1 = ExistsAtom(Vector(RelAtom("u", Vector("k", "y"))))
+    val e2 = ExistsAtom(Vector(RelAtom("u", Vector("j", "y"))))
+    val s = new Scope(Vector(RelAtom("r", Vector("k", "x")), e1, e2))
+    assert(!s.sub(e1).isJoinVar("y") && !s.sub(e2).isJoinVar("y"))
+    assert(joinVars(s).isEmpty && joinVars(s.sub(e2)).isEmpty && joinVars(s.sub(e1)) == Set("k"))
+  }
+
+  test("scope: a VALUES atom binds its variables") {
+    val s = new Scope(Vector(RelAtom("P", Vector("k", "s")), values))
+    assert(s.binds == Map("k" -> 1, "s" -> 2))
+    assert(s.isJoinVar("s") && s.sees("s") && s.bindsRel("s"))
+  }
+
+  test("scope: an assignment at an enclosing level makes an inner binding a join variable") {
+    val e = ExistsAtom(Vector(RelAtom("u", Vector("z", "y"))))
+    val s = new Scope(Vector(RelAtom("r", Vector("k", "x")), AssignAtom("z", v("x")), e))
+    assert(s.sub(e).isJoinVar("z") && !s.sub(e).isJoinVar("y"))
+    assert(s.sees("z") && !s.bindsRel("z") && !s.isJoinVar("z"))
+  }
+
   test("program base relations are those without defining rules") {
     val r1 = Rule(Head("d1", Vector("a" -> v("a"))), Vector(RelAtom("base1", Vector("a"))))
     val r2 = Rule(Head("d2", Vector("a" -> v("b"))),
