@@ -1,27 +1,32 @@
 package repro.bench
 
-import java.sql.Connection
+import java.io.File
+import java.nio.file.Files
+import org.apache.commons.io.FileUtils
 import org.apache.spark.sql.DataFrame
-import repro.Oracle
-import repro.core.{Catalog, Pipeline, SqlGen}
+import repro.{EnginePath, InputSet, Oracle, Prog, SparkSpec, TestData}
+import repro.TestData.{duckSql, miniPandas, sparkGen, sparkSql}
 import repro.data.{NotebookData, TpchData}
-import repro.frontend.Dsl
-import repro.mini.MiniPandas
 
 /** Shared benchmark harness.
   *
   * Scale factor and iteration counts come from the environment
   * (`REPRO_BENCH_SF`, default 0.1 ≈ 100 MB; `REPRO_BENCH_ITERS`,
-  * `REPRO_BENCH_WARMUP`). Inputs are materialized once as Parquet under
-  * `bench_data/` — Spark reads them as files (a fair cold-ish scan, and it
-  * sidesteps cached-plan interference) and DuckDB ingests them via
-  * `read_parquet`. The DuckDB thread count is set per measurement
-  * (`SET threads TO n`), which provides the paper's 1..4-thread sweeps.
+  * `REPRO_BENCH_WARMUP`). Inputs are written once per run as Parquet to a
+  * fresh temporary directory — Spark reads them as files (a fair cold-ish
+  * scan, and it sidesteps cached-plan interference) and DuckDB loads them
+  * through `Oracle.loadTable`. Programs run on the engine paths of
+  * `TestData.paths`, each against its own catalog, and the answer of every
+  * measurement is checked against the program's reference SQL. The DuckDB
+  * thread count is set per measurement (`SET threads TO n`), which provides
+  * the paper's 1..4-thread sweeps.
   *
   * Timing: `best of iters` after `warmup` warm-up rounds, reported in ms
   * (the paper reports the mean of 5 rounds after 5 warm-ups at SF=1; we
   * shrink both to keep the full table regeneration under an hour).
-  * Results are printed as table rows and appended to TSVs in `bench_results/`.
+  * Results are printed as table rows and appended to TSVs in
+  * `bench_results/` under the build root, the forked test JVM's working
+  * directory.
   */
 object Bench {
   val SF: Double  = sys.env.getOrElse("REPRO_BENCH_SF", "0.1").toDouble
@@ -29,46 +34,29 @@ object Bench {
   val Warmup: Int = sys.env.getOrElse("REPRO_BENCH_WARMUP", "1").toInt
 
   lazy val spark = {
-    val s = repro.SparkSpec.shared
+    val s = SparkSpec.shared
     s.sparkContext.setLogLevel("WARN")
     s
   }
 
-  private val dataDir = s"/root/repo/bench_data/sf$SF"
-  private val resultDir = new java.io.File("/root/repo/bench_results")
+  private val resultDir = new File("bench_results")
 
-  /** All base tables (TPC-H + notebook/hybrid) as Parquet-backed frames. */
-  lazy val inputs: Map[String, DataFrame] = {
-    val gen = TpchData.tables(spark, SF) ++ NotebookData.tables(spark, SF)
-    gen.map { case (n, df) =>
-      val path = s"$dataDir/$n"
-      if (!new java.io.File(path, "_SUCCESS").exists()) df.write.mode("overwrite").parquet(path)
+  /** `frames` written as Parquet to a temporary directory (deleted when the
+    * JVM exits) and read back from it. */
+  def parquet(frames: Map[String, DataFrame]): Map[String, DataFrame] = {
+    val dir = Files.createTempDirectory("bench-data-").toFile
+    sys.addShutdownHook(FileUtils.deleteQuietly(dir))
+    frames.map { case (n, df) =>
+      val path = new File(dir, n).getPath
+      df.write.parquet(path)
       n -> spark.read.parquet(path)
     }
   }
 
-  val catalog: Catalog = Catalog(
-    TpchData.catalog.schemas ++ NotebookData.catalog.schemas,
-    TpchData.catalog.uniqueCols ++ NotebookData.catalog.uniqueCols,
-    TpchData.catalog.matrixCols ++ NotebookData.catalog.matrixCols)
+  /** All base tables (TPC-H + notebook/hybrid). */
+  lazy val inputs = new InputSet(parquet(TpchData.tables(spark, SF) ++ NotebookData.tables(spark, SF)))
 
-  /** One persistent DuckDB connection with all tables loaded from Parquet. */
-  lazy val duck: Connection = {
-    inputs.keys // force parquet materialization first
-    val c = Oracle.connect()
-    inputs.keys.foreach { n =>
-      c.createStatement.execute(
-        s"CREATE TABLE $n AS SELECT * FROM read_parquet('$dataDir/$n/*.parquet')")
-    }
-    c
-  }
-
-  def duckThreads(n: Int): Unit =
-    duck.createStatement.execute(s"SET threads TO $n")
-
-  lazy val mini: Map[String, MiniPandas.Table] = inputs.map { case (n, df) =>
-    n -> MiniPandas.Table(df.columns.toVector, df.collect().toVector.map(_.toSeq.toArray))
-  }
+  def program(id: String): Prog = TestData.programs.find(_.id == id).get
 
   // ------------------------------------------------------------- measuring
   def timeMs(f: => Unit): Double = {
@@ -81,41 +69,42 @@ object Bench {
     (1 to Iters).map(_ => timeMs(f)).min
   }
 
-  // --------------------------------------------------------------- runners
-  /** "Python": the MiniPandas eager interpreter. */
-  def runPython(df: Dsl.Df): Double = bench { MiniPandas.run(df, mini) }
-
-  /** DuckDB backend at a given optimization level and thread count.
-    * (O0 = Grizzly-simulated, O4 = PyTond.) DuckDB runs are cheap but
-    * sit inside a JVM running Spark, so they take extra rounds to shake
-    * off GC/scheduler noise. */
-  def runDuck(df: Dsl.Df, level: Int, threads: Int): Double = {
-    val sql = Pipeline.toSql(df, catalog, SqlGen.DuckDialect, level)
-    duckThreads(threads)
-    def once(): Unit = {
-      val rs = duck.createStatement.executeQuery(sql)
-      while (rs.next()) {} // drain
-      rs.close()
-    }
-    (1 to math.max(Warmup, 2)).foreach(_ => once())
-    (1 to math.max(Iters, 5)).map(_ => timeMs(once())).min
+  /** Best time of `p` at `level` on `path` over `in`, with DuckDB at
+    * `threads` threads. The path's setup is not timed, and the last answer
+    * is checked against the reference SQL. DuckDB runs are cheap but sit
+    * inside a JVM running Spark, so they take extra rounds to shake off
+    * GC/scheduler noise. */
+  def time(path: EnginePath, p: Prog, level: Int, threads: Int = 4, in: InputSet = inputs): Double = {
+    in.duck.createStatement.execute(s"SET threads TO $threads")
+    val call = path.setup(p, level, in)
+    var ans = (Seq.empty[String], Seq.empty[Seq[Any]])
+    val (warmup, iters) = if (path eq duckSql) (math.max(Warmup, 2), math.max(Iters, 5)) else (Warmup, Iters)
+    (1 to warmup).foreach(_ => ans = call())
+    val best = (1 to iters).map(_ => timeMs { ans = call() }).min
+    Oracle.assertRowsEquivalentOn(in.duck, ans._1, ans._2, p.refSql)
+    best
   }
 
-  /** Spark SQL text backend (the compiled-engine stand-in). */
-  def runSparkSql(df: Dsl.Df, level: Int): Double = {
-    inputs.foreach { case (n, d) => d.createOrReplaceTempView(n) }
-    val sql = Pipeline.toSql(df, catalog, SqlGen.SparkDialect, level)
-    bench { spark.sql(sql).collect() }
-  }
+  /** The alternatives of Figs. 3–6: (column, path, level, DuckDB threads).
+    * O0 is the Grizzly-simulated baseline, O4 is PyTond; Spark SQL text
+    * stands in for Hyper and SparkGen for LingoDB. */
+  val alternatives: Seq[(String, EnginePath, Int, Int)] = Seq(
+    ("python_ms", miniPandas, 0, 4),
+    ("grizzly_duck_t1", duckSql, 0, 1), ("pytond_duck_t1", duckSql, 4, 1),
+    ("grizzly_duck_t4", duckSql, 0, 4), ("pytond_duck_t4", duckSql, 4, 4),
+    ("grizzly_spark", sparkSql, 0, 4), ("pytond_spark", sparkSql, 4, 4),
+    ("pytond_sparkdf", sparkGen, 4, 4))
 
-  /** Direct TondIR → Catalyst backend. */
-  def runSparkDf(df: Dsl.Df, level: Int): Double =
-    bench { Pipeline.toSpark(df, catalog, inputs, spark, level).collect() }
+  def timeAlternatives(p: Prog): Seq[Double] =
+    alternatives.map { case (_, path, level, threads) => time(path, p, level, threads) }
 
   // ---------------------------------------------------------------- output
+  /** Start the TSVs of `tables` afresh. */
+  def reset(tables: String*): Unit = tables.foreach(t => new File(resultDir, s"$t.tsv").delete())
+
   def record(table: String, header: Seq[String], row: Seq[Any]): Unit = {
     resultDir.mkdirs()
-    val f = new java.io.File(resultDir, s"$table.tsv")
+    val f = new File(resultDir, s"$table.tsv")
     val fresh = !f.exists()
     def fmt(v: Any): String = v match {
       case d: Double if math.abs(d) < 1.0 && d != 0.0 => f"$d%.4f"

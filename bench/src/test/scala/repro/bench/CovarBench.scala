@@ -1,10 +1,10 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.Oracle
-import repro.core.{Pipeline, SparkGen, SqlGen}
+import repro.{InputSet, Prog}
+import repro.TestData.{duckSql, miniPandas, sparkGen}
+import repro.core.{SparkGen, SqlGen}
 import repro.data.NotebookData
-import repro.mini.MiniPandas
 import repro.workloads.CovarMicro
 
 /** T7 — Fig. 9: covariance-matrix computation sweeps over rows, columns,
@@ -22,7 +22,7 @@ class CovarBench extends AnyFunSuite {
     "numpy_ms", "pytond_duck_dense", "pytond_duck_sparse",
     "pytond_spark_dense", "pytond_spark_sparse")
 
-  new java.io.File("/root/repo/bench_results/covar.tsv").delete()
+  reset("covar")
 
   private val maxRows = sys.env.getOrElse("REPRO_COVAR_MAX_ROWS", "200000").toLong
 
@@ -34,43 +34,27 @@ class CovarBench extends AnyFunSuite {
   for ((sweep, rows, cols, density) <- sweeps) {
     test(s"covariance $sweep rows=$rows cols=$cols density=$density") {
       val cat = CovarMicro.catalogFor(cols)
-      val dense = NotebookData.matrixDense(spark, rows, cols, density)
-      val coo   = NotebookData.matrixCoo(spark, rows, cols, density)
-
-      // materialize once (parquet) so every engine reads identical bytes
-      val dDir = s"/root/repo/bench_data/covar/dense_${rows}_${cols}_$density"
-      val cDir = s"/root/repo/bench_data/covar/coo_${rows}_${cols}_$density"
-      if (!new java.io.File(dDir, "_SUCCESS").exists()) dense.write.mode("overwrite").parquet(dDir)
-      if (!new java.io.File(cDir, "_SUCCESS").exists()) coo.write.mode("overwrite").parquet(cDir)
-      val denseP = spark.read.parquet(dDir)
-      val cooP   = spark.read.parquet(cDir)
-
-      val conn = Oracle.connect()
+      // materialized once (Parquet) so every engine reads identical bytes;
+      // two input sets, so MiniNumPy collects only the dense table
+      val in = new InputSet(parquet(Map("m" -> NotebookData.matrixDense(spark, rows, cols, density))))
+      val coo = new InputSet(parquet(Map("m_coo" -> NotebookData.matrixCoo(spark, rows, cols, density))))
+      val dense = Prog("CovarDense", cat, CovarMicro.denseDf(cols), CovarMicro.denseRefSql(cols))
+      val conns = Seq(in.duck, coo.duck)
       try {
-        conn.createStatement.execute(s"CREATE TABLE m AS SELECT * FROM read_parquet('$dDir/*.parquet')")
-        conn.createStatement.execute(s"CREATE TABLE m_coo AS SELECT * FROM read_parquet('$cDir/*.parquet')")
-        conn.createStatement.execute("SET threads TO 4")
+        val numpy      = time(miniPandas, dense, 0, in = in)
+        val duckDense  = time(duckSql, dense, 4, in = in)
+        val sparkDense = time(sparkGen, dense, 4, in = in)
 
-        val miniIn = Map("m" -> MiniPandas.Table(denseP.columns.toVector,
-          denseP.collect().toVector.map(_.toSeq.toArray)))
-        val numpy = bench { MiniPandas.run(CovarMicro.denseDf(cols), miniIn) }
-
-        val denseSql  = Pipeline.toSql(CovarMicro.denseDf(cols), cat, SqlGen.DuckDialect, 4)
+        coo.duck.createStatement.execute("SET threads TO 4")
         val sparseSql = SqlGen.programSql(CovarMicro.sparseProgram(), cat, SqlGen.DuckDialect)
-        def drain(sql: String): Unit = {
-          val rs = conn.createStatement.executeQuery(sql); while (rs.next()) {}; rs.close()
+        val duckSparse = bench {
+          val rs = coo.duck.createStatement.executeQuery(sparseSql); while (rs.next()) {}; rs.close()
         }
-        val duckDense  = bench { drain(denseSql) }
-        val duckSparse = bench { drain(sparseSql) }
-
-        val sparkDense = bench {
-          Pipeline.toSpark(CovarMicro.denseDf(cols), cat, Map("m" -> denseP), spark, 4).collect() }
-        val sparkSparse = bench {
-          SparkGen.compile(CovarMicro.sparseProgram(), Map("m_coo" -> cooP), cat, spark).collect() }
+        val sparkSparse = bench { SparkGen.compile(CovarMicro.sparseProgram(), coo.tables, cat, spark).collect() }
 
         record("covar", header, Seq(sweep, rows, cols, density,
           numpy, duckDense, duckSparse, sparkDense, sparkSparse))
-      } finally conn.close()
+      } finally conns.foreach(_.close())
     }
   }
 }

@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.workloads.{Hybrid, Notebooks, Tpch}
+import repro.TestData.{duckSql, sparkGen}
 
 /** T8 — Fig. 10: cumulative effect of the optimizations on representative
   * workloads, starting from the Grizzly-simulated baseline:
@@ -15,21 +15,16 @@ class OptBreakdownBench extends AnyFunSuite {
 
   private val header = Seq("workload", "backend", "O0_ms", "O1_ms", "O2_ms", "O3_ms", "O4_ms")
 
-  new java.io.File("/root/repo/bench_results/opt_breakdown.tsv").delete()
+  reset("opt_breakdown")
 
-  private val targets =
-    Seq("Q3", "Q9").map(q => q -> Tpch.byId(q.drop(1).toInt).build(catalog)) ++
-    Seq(Notebooks.crimeIndex, Notebooks.n3, Hybrid.hybridCovar, Hybrid.hybridMatmul)
-      .map(w => w.name -> w.build(catalog))
+  private val targets = Seq("Q3", "Q9", "CrimeIndex", "N3", "HybridCovar", "HybridMatmul")
 
-  for ((name, d) <- targets) {
-    test(s"optimization breakdown $name (DuckDB)") {
-      val ts = (0 to 4).map(l => runDuck(d, level = l, threads = 4))
-      record("opt_breakdown", header, Seq(name, "duckdb") ++ ts)
+  for (p <- targets.map(program)) {
+    test(s"optimization breakdown ${p.id} (DuckDB)") {
+      record("opt_breakdown", header, Seq(p.id, "duckdb") ++ (0 to 4).map(l => time(duckSql, p, l)))
     }
-    test(s"optimization breakdown $name (Catalyst)") {
-      val ts = (0 to 4).map(l => runSparkDf(d, level = l))
-      record("opt_breakdown", header, Seq(name, "spark") ++ ts)
+    test(s"optimization breakdown ${p.id} (Catalyst)") {
+      record("opt_breakdown", header, Seq(p.id, "spark") ++ (0 to 4).map(l => time(sparkGen, p, l)))
     }
   }
 }

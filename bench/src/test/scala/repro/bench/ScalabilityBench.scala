@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.workloads.{Hybrid, Notebooks, Tpch}
+import repro.TestData.duckSql
 
 /** T5/T6 — Fig. 7 and Fig. 8: thread scalability of the PyTond/DuckDB
   * backend (1..4 threads) for representative TPC-H queries (Q1, Q4, Q6,
@@ -13,19 +13,15 @@ class ScalabilityBench extends AnyFunSuite {
   private val header = Seq("workload", "t1_ms", "t2_ms", "t3_ms", "t4_ms",
     "speedup_t2", "speedup_t3", "speedup_t4")
 
-  new java.io.File("/root/repo/bench_results/scalability.tsv").delete()
+  reset("scalability")
 
-  private val targets =
-    Seq("Q1", "Q4", "Q6", "Q13").map(q => q -> Tpch.byId(q.drop(1).toInt).build(catalog)) ++
-    (Notebooks.all.filter(w => Set("CrimeIndex", "N3", "N9").contains(w.name)) ++
-      Seq(Hybrid.hybridMatmul, Hybrid.hybridCovar))
-      .map(w => w.name -> w.build(catalog))
+  private val targets = Seq("Q1", "Q4", "Q6", "Q13", "CrimeIndex", "N3", "N9", "HybridMatmul", "HybridCovar")
 
-  for ((name, d) <- targets) {
-    test(s"scalability $name") {
-      val ts = (1 to 4).map(n => runDuck(d, level = 4, threads = n))
+  for (p <- targets.map(program)) {
+    test(s"scalability ${p.id}") {
+      val ts = (1 to 4).map(n => time(duckSql, p, level = 4, threads = n))
       record("scalability", header,
-        name +: (ts ++ Seq(ts(0) / ts(1), ts(0) / ts(2), ts(0) / ts(3))))
+        p.id +: (ts ++ Seq(ts(0) / ts(1), ts(0) / ts(2), ts(0) / ts(3))))
     }
   }
 }

@@ -1,9 +1,10 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.workloads.Tpch
+import repro.TestData
 
-/** T1/T2 — Fig. 3 and Fig. 4: all 22 TPC-H queries across the alternatives.
+/** T1/T2 — Fig. 3 and Fig. 4: all 22 TPC-H queries across the alternatives
+  * of [[Bench.alternatives]]:
   *
   *   python          MiniPandas eager interpreter ("Python/Pandas")
   *   grizzly_duck_tN O0 SQL on DuckDB, N threads  (Grizzly-simulated)
@@ -18,29 +19,17 @@ import repro.workloads.Tpch
 class TpchBench extends AnyFunSuite {
   import Bench._
 
-  private val header = Seq("query", "python_ms",
-    "grizzly_duck_t1", "pytond_duck_t1", "grizzly_duck_t4", "pytond_duck_t4",
-    "grizzly_spark", "pytond_spark", "pytond_sparkdf")
+  private val header = "query" +: alternatives.map(_._1)
 
   private val rows = scala.collection.mutable.ArrayBuffer[Seq[Double]]()
 
-  new java.io.File("/root/repo/bench_results/tpch.tsv").delete()
-  new java.io.File("/root/repo/bench_results/tpch_summary.tsv").delete()
+  reset("tpch", "tpch_summary")
 
-  for (q <- Tpch.all) {
-    test(s"bench Q${q.id}") {
-      val d = q.build(catalog)
-      val py  = runPython(d)
-      val gd1 = runDuck(d, level = 0, threads = 1)
-      val pd1 = runDuck(d, level = 4, threads = 1)
-      val gd4 = runDuck(d, level = 0, threads = 4)
-      val pd4 = runDuck(d, level = 4, threads = 4)
-      val gs  = runSparkSql(d, level = 0)
-      val ps  = runSparkSql(d, level = 4)
-      val pdf = runSparkDf(d, level = 4)
-      val r = Seq(py, gd1, pd1, gd4, pd4, gs, ps, pdf)
+  for (p <- TestData.tpch) {
+    test(s"bench ${p.id}") {
+      val r = timeAlternatives(p)
       rows += r
-      record("tpch", header, s"Q${q.id}" +: r)
+      record("tpch", header, p.id +: r)
     }
   }
 

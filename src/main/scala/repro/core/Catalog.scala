@@ -4,25 +4,21 @@ package repro.core
   *
   * The paper gathers this from two sources: the DBMS catalog (schemas,
   * key/uniqueness constraints, cardinalities) and `@pytond` decorator
-  * arguments (data layout, pivot distinct values). Both are represented here.
+  * arguments (data layout, pivot distinct values). Schemas, unique columns
+  * and matrix layouts are represented here; pivot distinct values are
+  * arguments of the DSL's `pivotTable` call.
   *
   * @param schemas     base relation name → ordered column names
   * @param uniqueCols  base relation name → columns known unique (PKs etc.)
   * @param matrixCols  dense matrix relation → number of value columns
   *                    (its schema is `(id, c0..c{n-1})`)
-  * @param pivotValues pre-declared distinct values for pivot_table columns,
-  *                    keyed by (relation hint, column) — decorator-provided
   */
 final case class Catalog(schemas: Map[String, Vector[String]],
                          uniqueCols: Map[String, Set[String]] = Map.empty,
-                         matrixCols: Map[String, Int] = Map.empty,
-                         pivotValues: Map[String, Vector[Any]] = Map.empty) {
+                         matrixCols: Map[String, Int] = Map.empty) {
 
   def schema(rel: String): Vector[String] =
     schemas.getOrElse(rel, sys.error(s"catalog: unknown relation '$rel'"))
-
-  def isUnique(rel: String, col: String): Boolean =
-    uniqueCols.getOrElse(rel, Set.empty).contains(col)
 
   def withTable(rel: String, cols: Vector[String], unique: Set[String] = Set.empty): Catalog =
     copy(schemas = schemas + (rel -> cols),
@@ -39,9 +35,6 @@ final case class Catalog(schemas: Map[String, Vector[String]],
   /** Register a sparse COO matrix stored as `(i, j, v)`. */
   def withCoo(rel: String): Catalog =
     copy(schemas = schemas + (rel -> Vector("i", "j", "v")))
-
-  def withPivotValues(key: String, values: Vector[Any]): Catalog =
-    copy(pivotValues = pivotValues + (key -> values))
 }
 
 object Catalog {

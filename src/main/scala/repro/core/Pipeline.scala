@@ -21,11 +21,4 @@ object Pipeline {
               spark: SparkSession, level: Int = 4): DataFrame =
     SparkGen.compile(compile(df, cat, level), inputs, cat, spark)
 
-  /** Spark SQL text backend: generated SQL executed via spark.sql over
-    * registered temp views. */
-  def toSparkSql(df: Dsl.Df, cat: Catalog, inputs: Map[String, DataFrame],
-                 spark: SparkSession, level: Int = 4): DataFrame = {
-    inputs.foreach { case (n, d) => d.createOrReplaceTempView(n) }
-    spark.sql(toSql(df, cat, SqlGen.SparkDialect, level))
-  }
 }

@@ -215,20 +215,6 @@ object Einsum {
     t.copy(rules = h.rules ++ t.rules)
   }
 
-  /** 'i,j->ij' — outer product: broadcast the second vector (statically
-    * known length `bLen`, from the catalog) to a one-row relation, then
-    * scale each row of the first. */
-  def outerProductN(a: DenseOp, b: DenseOp, bLen: Int, ng: NameGen): Lowered = {
-    val row = broadcastVector(b, bLen, ng)
-    val id = ng.fresh("id"); val x = ng.fresh("x")
-    val vs = vars(ng, bLen, "v")
-    val rel = ng.fresh("outer")
-    val cols = ("id" -> (TVar(id): Term)) +: vs.zipWithIndex.map { case (v, i) =>
-      s"c$i" -> (TBin("*", TVar(x), TVar(v)): Term) }
-    val body = Vector[Atom](RelAtom(a.rel, Vector(id, x)), RelAtom(row.rel, vs))
-    Lowered(row.rules :+ Rule(Head(rel, cols.toVector), body), rel, 2, bLen)
-  }
-
   /** 'ij,j->i' — matrix–vector product: broadcast the vector into one row
     * (conditional sums — the pivot pattern), cross join, per-row dot. */
   def matVec(m: DenseOp, v: DenseOp, ng: NameGen): Lowered = {

@@ -508,6 +508,4 @@ object Tpch {
 
   val all: Vector[Query] = Vector(q1, q2, q3, q4, q5, q6, q7, q8, q9, q10, q11,
     q12, q13, q14, q15, q16, q17, q18, q19, q20, q21, q22)
-
-  def byId(id: Int): Query = all.find(_.id == id).get
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestData
+import repro.{Prog, TestData}
 import repro.frontend.Lower
 import TondIR._
 
@@ -20,7 +20,7 @@ class IrCheckSpec extends AnyFunSuite {
     (1, "localDce", Optimizer.localDce(_: Program)),
     (1, "globalDce", Optimizer.globalDce))
 
-  for ((name, cat, df) <- TestData.programs)
+  for (Prog(name, cat, df, _) <- TestData.programs)
     test(s"$name: well formed after Lower and O1–O4, each level a fixpoint of its step") {
       def check(p: Program, where: String): Unit = {
         val bad = IrCheck.violations(p, cat)

@@ -3,7 +3,7 @@ package repro.core
 import java.nio.charset.StandardCharsets.UTF_8
 import java.nio.file.{Files, Paths}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestData
+import repro.{Prog, TestData}
 import repro.frontend.Lower
 
 /** Pinned compiler output: one SHA-256 per (program, level O0–O4, kind) for
@@ -20,7 +20,7 @@ object SqlDigests {
 
   /** (program, level, kind) → digest, in a fixed order. */
   def compute(): Vector[((String, Int, String), String)] = for {
-    (name, cat, df) <- TestData.programs
+    Prog(name, cat, df, _) <- TestData.programs
     ir = Lower.lower(df, cat)
     level <- (0 to 4).toVector
     opt = Optimizer.optimize(ir, cat, level)

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.types._
-import repro.{Oracle, SparkSpec}
+import repro.{InputSet, Oracle, SparkSpec}
 import TondIR._
 
 /** Feature-level tests of both body emitters over tiny inline tables: each
@@ -16,27 +16,28 @@ class SqlGenSpec extends SparkSpec {
     .withTable("t", Vector("k", "s", "x"), unique = Set("k"))
     .withTable("u", Vector("k", "y"))
 
-  private lazy val tables = Map(
+  private lazy val in = new InputSet(Map(
     "t" -> table(Seq("k" -> LongType, "s" -> StringType, "x" -> DoubleType),
                  Seq(Row(1L, "a", 10.0), Row(2L, "b", 20.0), Row(3L, "a", 30.0), Row(4L, "c", 40.0))),
     "u" -> table(Seq("k" -> LongType, "y" -> DoubleType),
-                 Seq(Row(1L, 1.5), Row(1L, 2.5), Row(3L, 3.5), Row(9L, 9.9))))
+                 Seq(Row(1L, 1.5), Row(1L, 2.5), Row(3L, 3.5), Row(9L, 9.9)))))
 
   private def table(cols: Seq[(String, DataType)], rows: Seq[Row]) =
     spark.createDataFrame(spark.sparkContext.parallelize(rows, 1),
       StructType(cols.map { case (n, t) => StructField(n, t) }))
 
-  private lazy val duck = {
-    val c = Oracle.connect()
-    tables.foreach { case (n, df) => Oracle.loadTable(c, n, df) }
-    c
-  }
 
   /** Check SqlGen's DuckDB SQL and SparkGen's plan against `expected`. */
   private def run(p: Program, expected: String): Unit = {
-    Oracle.assertSqlEquivalent(duck, SqlGen.programSql(p, cat, SqlGen.DuckDialect), expected)
-    Oracle.assertEquivalentOn(duck, SparkGen.compile(p, tables, cat, spark), expected)
+    Oracle.assertSqlEquivalent(in.duck, SqlGen.programSql(p, cat, SqlGen.DuckDialect), expected)
+    Oracle.assertEquivalentOn(in.duck, SparkGen.compile(p, in.tables, cat, spark), expected)
   }
+
+  /** `run` on `p` optimized at each of `levels`; a failure names its level. */
+  private def runAt(levels: Seq[Int], p: Program, expected: String): Unit =
+    for (level <- levels)
+      try run(Optimizer.optimize(p, cat, level), expected)
+      catch { case e: Exception => fail(s"at O$level: ${e.getMessage}", e) }
 
   private def v(n: String) = TVar(n)
 
@@ -205,8 +206,7 @@ class SqlGenSpec extends SparkSpec {
       Rule(Head("P", Vector("k2" -> TBin("+", v("k"), TConst(1L)))), Vector(tk)),
       Rule(Head("r", Vector("k2" -> v("k2"), "y" -> v("y"))),
            Vector(RelAtom("P", Vector("k2")), RelAtom("u", Vector("k2", "y"))))), "r")
-    for (level <- Seq(0, 4))
-      run(Optimizer.optimize(p, cat, level), "SELECT t.k + 1 AS k2, y FROM t JOIN u ON t.k + 1 = u.k")
+    runAt(Seq(0, 4), p, "SELECT t.k + 1 AS k2, y FROM t JOIN u ON t.k + 1 = u.k")
   }
 
   test("a join with a VALUES relation survives global DCE at O0–O4") {
@@ -215,17 +215,16 @@ class SqlGenSpec extends SparkSpec {
       Rule(Head("P", Vector("k" -> v("k"), "s" -> v("s"))), Vector(tk)),
       Rule(Head("r", Vector("k2" -> v("k2"))),
            Vector(RelAtom("P", Vector("k2", "s2")), ConstAtom(Vector("s2"), Vector(Vector(TConst("a"))))))), "r")
-    for (level <- 0 to 4)
-      run(Optimizer.optimize(p, cat, level), "SELECT k AS k2 FROM t WHERE s = 'a'")
+    runAt(0 to 4, p, "SELECT k AS k2 FROM t WHERE s = 'a'")
   }
 
   test("a variable two levels out: correlated SQL, a named SparkGen error") {
     val inner = ExistsAtom(Vector(RelAtom("u", Vector("j", "y2")), PredAtom(TBin(">", TBin("*", v("y2"), TConst(2.0)), v("x")))))
     val p = existsRule(ExistsAtom(Vector(RelAtom("u", Vector("k", "y")), inner)))
-    Oracle.assertSqlEquivalent(duck, SqlGen.programSql(p, cat, SqlGen.DuckDialect),
+    Oracle.assertSqlEquivalent(in.duck, SqlGen.programSql(p, cat, SqlGen.DuckDialect),
       "SELECT k FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.k = t.k AND " +
       "EXISTS (SELECT 1 FROM u u2 WHERE u2.y * 2 > t.x))")
-    val e = intercept[RuntimeException](SparkGen.compile(p, tables, cat, spark))
+    val e = intercept[RuntimeException](SparkGen.compile(p, in.tables, cat, spark))
     assert(e.getMessage.contains("x is bound two levels out"), e.getMessage)
   }
 }

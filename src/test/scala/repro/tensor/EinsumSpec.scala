@@ -1,6 +1,6 @@
 package repro.tensor
 
-import repro.{Oracle, SparkSpec}
+import repro.{InputSet, Oracle, SparkSpec}
 import repro.core.{Catalog, SparkGen, SqlGen, TondIR}
 import repro.core.TondIR.{NameGen, Program}
 import repro.data.NotebookData
@@ -47,65 +47,57 @@ class EinsumSpec extends SparkSpec {
   private val Cols = 3
   private lazy val cat = Catalog.empty.withMatrix("m", Cols).withMatrix("m2", Cols)
     .withMatrix("vv", 1).withMatrix("v2", 1).withCoo("m_coo")
-  private lazy val m  = NotebookData.matrixDense(spark, Rows, Cols, 1.0, seed = 1)
-  private lazy val m2 = NotebookData.matrixDense(spark, Rows, Cols, 1.0, seed = 2)
-  private lazy val vv = NotebookData.matrixDense(spark, Rows, 1, 1.0, seed = 3)
-  private lazy val v2 = NotebookData.matrixDense(spark, Cols.toLong, 1, 1.0, seed = 4)
-  private lazy val coo = NotebookData.matrixCoo(spark, Rows, Cols, 0.4, seed = 5)
-  private lazy val duck = {
-    val c = Oracle.connect()
-    Oracle.loadTable(c, "m", m); Oracle.loadTable(c, "m2", m2)
-    Oracle.loadTable(c, "vv", vv); Oracle.loadTable(c, "v2", v2)
-    Oracle.loadTable(c, "m_coo", coo)
-    c
-  }
+  private lazy val in = new InputSet(Map(
+    "m"     -> NotebookData.matrixDense(spark, Rows, Cols, 1.0, seed = 1),
+    "m2"    -> NotebookData.matrixDense(spark, Rows, Cols, 1.0, seed = 2),
+    "vv"    -> NotebookData.matrixDense(spark, Rows, 1, 1.0, seed = 3),
+    "v2"    -> NotebookData.matrixDense(spark, Cols.toLong, 1, 1.0, seed = 4),
+    "m_coo" -> NotebookData.matrixCoo(spark, Rows, Cols, 0.4, seed = 5)))
 
   private def runDense(spec: String, ops: (String, Int)*): org.apache.spark.sql.DataFrame = {
     val ng = new NameGen("t")
     val lo = Einsum.lowerDense(spec, ops.toVector.map { case (r, n) =>
       Einsum.DenseOp(r, if (n == 1) 1 else 2, n) }, ng)
-    val prog = Program(lo.rules, lo.rel)
-    val inputs = Map("m" -> m, "m2" -> m2, "vv" -> vv, "v2" -> v2)
-    val named = lo.order match {
-      case 0 => SparkGen.compile(prog, inputs, cat, spark).toDF("c0")
-      case 1 => SparkGen.compile(prog, inputs, cat, spark).toDF("id", "c0")
-      case _ => SparkGen.compile(prog, inputs, cat, spark)
+    val df = SparkGen.compile(Program(lo.rules, lo.rel), in.tables, cat, spark)
+    lo.order match {
+      case 0 => df.toDF("c0")
+      case 1 => df.toDF("id", "c0")
+      case _ => df
     }
-    named
   }
 
   private val sumCols = (0 until Cols).map(j => s"c$j").mkString(" + ")
 
   test("ES1/'ij->' total sum matches DuckDB") {
-    Oracle.assertEquivalentOn(duck, runDense("ij->", "m" -> Cols),
+    Oracle.assertEquivalentOn(in.duck, runDense("ij->", "m" -> Cols),
       s"SELECT SUM($sumCols) AS c0 FROM m")
   }
 
   test("ES2 'ij->i' row sums match DuckDB") {
-    Oracle.assertEquivalentOn(duck, runDense("ij->i", "m" -> Cols),
+    Oracle.assertEquivalentOn(in.duck, runDense("ij->i", "m" -> Cols),
       s"SELECT id, $sumCols AS c0 FROM m")
   }
 
   test("'ij->j' column sums match DuckDB") {
     val branches = (0 until Cols).map(j => s"SELECT $j AS id, s$j AS c0 FROM t").mkString(" UNION ALL ")
-    Oracle.assertEquivalentOn(duck, runDense("ij->j", "m" -> Cols),
+    Oracle.assertEquivalentOn(in.duck, runDense("ij->j", "m" -> Cols),
       s"WITH t AS (SELECT ${(0 until Cols).map(j => s"SUM(c$j) AS s$j").mkString(", ")} FROM m) $branches")
   }
 
   test("ES3 'ii->i' diagonal matches DuckDB") {
-    Oracle.assertEquivalentOn(duck, runDense("ii->i", "m" -> Cols),
+    Oracle.assertEquivalentOn(in.duck, runDense("ii->i", "m" -> Cols),
       s"SELECT id, CASE ${(0 until Cols).map(j => s"WHEN id = $j THEN c$j").mkString(" ")} ELSE 0.0 END AS c0 " +
       s"FROM m WHERE id < $Cols UNION ALL SELECT id, 0.0 AS c0 FROM m WHERE id >= $Cols")
   }
 
   test("ES7 'ij,ij->ij' Hadamard product matches DuckDB") {
-    Oracle.assertEquivalentOn(duck, runDense("ij,ij->ij", "m" -> Cols, "m2" -> Cols),
+    Oracle.assertEquivalentOn(in.duck, runDense("ij,ij->ij", "m" -> Cols, "m2" -> Cols),
       s"SELECT m.id AS id, ${(0 until Cols).map(j => s"m.c$j*m2.c$j AS c$j").mkString(", ")} " +
       "FROM m JOIN m2 ON m.id = m2.id")
   }
 
   test("'i,i->' inner product matches DuckDB") {
-    Oracle.assertEquivalentOn(duck, runDense("i,i->", "vv" -> 1, "vv" -> 1),
+    Oracle.assertEquivalentOn(in.duck, runDense("i,i->", "vv" -> 1, "vv" -> 1),
       "SELECT SUM(c0*c0) AS c0 FROM vv")
   }
 
@@ -114,13 +106,13 @@ class EinsumSpec extends SparkSpec {
       yield s"SUM(a.c$j*b.c$k) AS p${j}_$k").mkString(", ")
     val rows = (0 until Cols).map(j =>
       s"SELECT $j AS id, ${(0 until Cols).map(k => s"p${j}_$k AS c$k").mkString(", ")} FROM t").mkString(" UNION ALL ")
-    Oracle.assertEquivalentOn(duck, runDense("ij,ik->jk", "m" -> Cols, "m2" -> Cols),
+    Oracle.assertEquivalentOn(in.duck, runDense("ij,ik->jk", "m" -> Cols, "m2" -> Cols),
       s"WITH t AS (SELECT $cells FROM m a JOIN m2 b ON a.id = b.id) $rows")
   }
 
   test("'ij,j->i' matrix-vector product matches DuckDB") {
     val dot = (0 until Cols).map(j => s"m.c$j * (SELECT c0 FROM v2 WHERE id = $j)").mkString(" + ")
-    Oracle.assertEquivalentOn(duck, runDense("ij,j->i", "m" -> Cols, "v2" -> 1),
+    Oracle.assertEquivalentOn(in.duck, runDense("ij,j->i", "m" -> Cols, "v2" -> 1),
       s"SELECT id, $dot AS c0 FROM m")
   }
 
@@ -128,7 +120,7 @@ class EinsumSpec extends SparkSpec {
     val dots = (0 until Cols).map { k =>
       (0 until Cols).map(j => s"m.c$j * (SELECT c$k FROM m2 WHERE id = $j)").mkString(" + ") + s" AS c$k"
     }.mkString(", ")
-    Oracle.assertEquivalentOn(duck, runDense("ij,jk->ik", "m" -> Cols, "m2" -> Cols),
+    Oracle.assertEquivalentOn(in.duck, runDense("ij,jk->ik", "m" -> Cols, "m2" -> Cols),
       s"SELECT m.id AS id, $dots FROM m")
   }
 
@@ -136,8 +128,8 @@ class EinsumSpec extends SparkSpec {
     val ng = new NameGen("s")
     val lo = Einsum.lowerSparse("ij,ji->",
       Vector(Einsum.CooOp("m_coo", 2), Einsum.CooOp("m_coo", 2)), ng)
-    val df = SparkGen.compile(Program(lo.rules, lo.rel), Map("m_coo" -> coo), cat, spark).toDF("v")
-    Oracle.assertEquivalentOn(duck, df,
+    val df = SparkGen.compile(Program(lo.rules, lo.rel), in.tables, cat, spark).toDF("v")
+    Oracle.assertEquivalentOn(in.duck, df,
       "SELECT SUM(a.v*b.v) AS v FROM m_coo a JOIN m_coo b ON a.i = b.j AND a.j = b.i")
   }
 
@@ -145,8 +137,8 @@ class EinsumSpec extends SparkSpec {
     val ng = new NameGen("s")
     val lo = Einsum.lowerSparse("ij,jk,ki->",
       Vector.fill(3)(Einsum.CooOp("m_coo", 2)), ng)
-    val df = SparkGen.compile(Program(lo.rules, lo.rel), Map("m_coo" -> coo), cat, spark).toDF("v")
-    Oracle.assertEquivalentOn(duck, df,
+    val df = SparkGen.compile(Program(lo.rules, lo.rel), in.tables, cat, spark).toDF("v")
+    Oracle.assertEquivalentOn(in.duck, df,
       "SELECT SUM(a.v*b.v*c.v) AS v FROM m_coo a JOIN m_coo b ON a.j = b.i " +
       "JOIN m_coo c ON b.j = c.i AND c.j = a.i")
   }

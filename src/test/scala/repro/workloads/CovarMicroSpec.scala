@@ -1,7 +1,7 @@
 package repro.workloads
 
-import repro.{Oracle, SparkSpec}
-import repro.core.{Optimizer, Pipeline, SparkGen, SqlGen}
+import repro.{InputSet, Oracle, Prog, SparkSpec, TestData}
+import repro.core.{Optimizer, SparkGen, SqlGen}
 import repro.data.NotebookData
 import repro.frontend.Lower
 
@@ -12,39 +12,31 @@ class CovarMicroSpec extends SparkSpec {
   private val Cols = 4
   private val cat = CovarMicro.catalogFor(Cols)
 
-  private lazy val dense = NotebookData.matrixDense(spark, Rows, Cols, density = 0.3)
-  private lazy val coo   = NotebookData.matrixCoo(spark, Rows, Cols, density = 0.3)
-  private lazy val duck = {
-    val c = Oracle.connect()
-    Oracle.loadTable(c, "m", dense)
-    Oracle.loadTable(c, "m_coo", coo)
-    c
-  }
+  private lazy val in = new InputSet(Map(
+    "m"     -> NotebookData.matrixDense(spark, Rows, Cols, density = 0.3),
+    "m_coo" -> NotebookData.matrixCoo(spark, Rows, Cols, density = 0.3)))
+  private val dense = Prog("CovarDense", cat, CovarMicro.denseDf(Cols), CovarMicro.denseRefSql(Cols))
 
   test("dense covariance via SparkGen matches reference") {
-    val df = Pipeline.toSpark(CovarMicro.denseDf(Cols), cat, Map("m" -> dense), spark, level = 4)
-    Oracle.assertEquivalentOn(duck, df, CovarMicro.denseRefSql(Cols))
+    TestData.sparkGen.check(dense, 4, in)
   }
 
   test("dense covariance via generated DuckDB SQL matches reference") {
-    val sql = Pipeline.toSql(CovarMicro.denseDf(Cols), cat, SqlGen.DuckDialect, level = 4)
-    Oracle.assertSqlEquivalent(duck, sql, CovarMicro.denseRefSql(Cols))
+    TestData.duckSql.check(dense, 4, in)
   }
 
   test("dense covariance unoptimized (O0) matches reference") {
-    val sql = Pipeline.toSql(CovarMicro.denseDf(Cols), cat, SqlGen.DuckDialect, level = 0)
-    Oracle.assertSqlEquivalent(duck, sql, CovarMicro.denseRefSql(Cols))
+    TestData.duckSql.check(dense, 0, in)
   }
 
   test("sparse (COO) covariance via SparkGen matches reference") {
-    val p = CovarMicro.sparseProgram()
-    val df = SparkGen.compile(p, Map("m_coo" -> coo), cat, spark)
-    Oracle.assertEquivalentOn(duck, df, CovarMicro.sparseRefSql(Cols))
+    val df = SparkGen.compile(CovarMicro.sparseProgram(), in.tables, cat, spark)
+    Oracle.assertEquivalentOn(in.duck, df, CovarMicro.sparseRefSql(Cols))
   }
 
   test("sparse (COO) covariance via generated DuckDB SQL matches reference") {
     val sql = SqlGen.programSql(CovarMicro.sparseProgram(), cat, SqlGen.DuckDialect)
-    Oracle.assertSqlEquivalent(duck, sql, CovarMicro.sparseRefSql(Cols))
+    Oracle.assertSqlEquivalent(in.duck, sql, CovarMicro.sparseRefSql(Cols))
   }
 
   test("dense covariance optimizer eliminates the id self-join") {
@@ -55,9 +47,6 @@ class CovarMicroSpec extends SparkSpec {
   }
 
   test("MiniNumPy dense covariance matches reference") {
-    import repro.mini.MiniPandas
-    val mini = Map("m" -> MiniPandas.Table(dense.columns.toVector, dense.collect().toVector.map(_.toSeq.toArray)))
-    val t = MiniPandas.run(CovarMicro.denseDf(Cols), mini)
-    Oracle.assertRowsEquivalentOn(duck, t.schema, t.rows.map(_.toSeq), CovarMicro.denseRefSql(Cols))
+    TestData.miniPandas.check(dense, 0, in)
   }
 }
