@@ -33,11 +33,7 @@ object Bench {
   val Iters: Int  = sys.env.getOrElse("REPRO_BENCH_ITERS", "2").toInt
   val Warmup: Int = sys.env.getOrElse("REPRO_BENCH_WARMUP", "1").toInt
 
-  lazy val spark = {
-    val s = SparkSpec.shared
-    s.sparkContext.setLogLevel("WARN")
-    s
-  }
+  lazy val spark = SparkSpec.shared
 
   private val resultDir = new File("bench_results")
 

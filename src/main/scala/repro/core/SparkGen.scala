@@ -48,33 +48,27 @@ object SparkGen {
     val headCols = rule.head.cols
     val projected: DataFrame =
       if (rule.hasAgg) {
+        // A scalar aggregate is the case with no keys (`Dataset.agg` is
+        // `groupBy().agg`). A head column is a grouping key iff it is a bare
+        // var from the group list; everything else must be (or contain) an
+        // aggregate.
         val havingCols = havingPreds.zipWithIndex.map { case (t, i) => render(t, colOf).as(s"__having_$i") }
-        if (rule.head.group.isEmpty) {
-          // scalar aggregate (no grouping)
-          val exprs = headCols.map { case (n, t) => render(t, colOf).as(n) } ++ havingCols
-          val agged = withExists.agg(exprs.head, exprs.tail: _*)
-          havingPreds.indices.foldLeft(agged)((d, i) => d.where(col(s"__having_$i")))
-            .select(headCols.map { case (n, _) => col(n) }: _*)
-        } else {
-          // A head column is a grouping key iff it is a bare var from the
-          // group list; everything else must be (or contain) an aggregate.
-          def isKey(c: (String, Term)): Boolean = c._2 match {
-            case TVar(v) => rule.head.group.contains(v); case _ => false }
-          val aggCols = headCols.filterNot(isKey)
-          val exprs = aggCols.map { case (n, t) => render(t, colOf).as(n) } ++ havingCols
-          val grouped = withExists.groupBy(
-            rule.head.group.map(g => colOf(g).as(s"__k_$g")): _*)
-          val agged =
-            if (exprs.nonEmpty) grouped.agg(exprs.head, exprs.tail: _*)
-            else grouped.agg(count(lit(1)).as("__cnt")).drop("__cnt")
-          val withHaving = havingPreds.indices.foldLeft(agged)((d, i) => d.where(col(s"__having_$i")))
-          // Re-project in head order: group keys via their __k_ alias.
-          val out = headCols.map {
-            case (n, TVar(v)) if rule.head.group.contains(v) => col(s"__k_$v").as(n)
-            case (n, _)                                      => col(n)
-          }
-          withHaving.select(out: _*)
+        def isKey(c: (String, Term)): Boolean = c._2 match {
+          case TVar(v) => rule.head.group.contains(v); case _ => false }
+        val aggCols = headCols.filterNot(isKey)
+        val exprs = aggCols.map { case (n, t) => render(t, colOf).as(n) } ++ havingCols
+        val grouped = withExists.groupBy(
+          rule.head.group.map(g => colOf(g).as(s"__k_$g")): _*)
+        val agged =
+          if (exprs.nonEmpty) grouped.agg(exprs.head, exprs.tail: _*)
+          else grouped.agg(count(lit(1)).as("__cnt")).drop("__cnt")
+        val withHaving = havingPreds.indices.foldLeft(agged)((d, i) => d.where(col(s"__having_$i")))
+        // Re-project in head order: group keys via their __k_ alias.
+        val out = headCols.map {
+          case (n, TVar(v)) if rule.head.group.contains(v) => col(s"__k_$v").as(n)
+          case (n, _)                                      => col(n)
         }
+        withHaving.select(out: _*)
       } else {
         withExists.select(headCols.map { case (n, t) => render(t, colOf).as(n) }: _*)
       }

@@ -116,10 +116,9 @@ object Dsl {
     * selected columns (§III-E Unique ID Generation). */
   final case class ToMatrix(in: POp, cols: Vector[String]) extends POp {
     val schema = "id" +: cols.indices.map(i => s"c$i").toVector
-    def nCols: Int = cols.size
   }
   /** Dense einsum over matrices/vectors produced by [[ToMatrix]] or prior
-    * einsums. Operand shapes are tracked by [[Lower]]. */
+    * einsums. [[Lower]] reads each operand's shape from its lowered schema. */
   final case class EinsumOp(spec: String, operands: Vector[POp]) extends POp {
     val schema = Vector.empty // filled during lowering (shape-dependent)
   }

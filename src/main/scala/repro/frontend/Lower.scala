@@ -15,9 +15,10 @@ import Dsl._
   */
 object Lower {
 
-  /** Result of lowering one node: its relation name and — for arrays — the
-    * tensor shape. */
-  private final case class Val(rel: String, schema: Vector[String], order: Int = -1, nCols: Int = -1)
+  /** Result of lowering one node: its relation name and column names. An
+    * array's shape is its schema: `(c0)` for a scalar, `(id, c0..)`
+    * otherwise. */
+  private final case class Val(rel: String, schema: Vector[String])
 
   def lower(root: Df, cat: Catalog): Program = lower(root.op, cat)
 
@@ -48,105 +49,89 @@ object Lower {
     /** Emit one rule deriving `cols` (name → term) from the given body. */
     def emit(cols: Vector[(String, Term)], body: Vector[Atom],
              group: Vector[String] = Vector.empty, distinct: Boolean = false,
-             sort: Vector[(String, Boolean)] = Vector.empty, limit: Option[Long] = None,
-             order: Int = -1, nCols: Int = -1): Val = {
+             sort: Vector[(String, Boolean)] = Vector.empty, limit: Option[Long] = None): Val = {
       val rel = ng.fresh("v")
       rules += Rule(Head(rel, cols, group, distinct, sort, limit), body)
-      Val(rel, cols.map(_._1), order, nCols)
+      Val(rel, cols.map(_._1))
+    }
+
+    /** Lower `in` and read its result: the value, one fresh variable per
+      * column, and the column → variable map. */
+    def read(in: POp): (Val, Vector[String], Map[String, String]) = {
+      val p = go(in); val vs = freshVars(p.schema)
+      (p, vs, p.schema.zip(vs).toMap)
     }
 
     def go(op: POp): Val = memo.getOrElseUpdate(op, op match {
-      case Source(name, schema) =>
-        cat.matrixCols.get(name) match {
-          case Some(nc) => Val(name, schema, order = if (nc == 1) 1 else 2, nCols = nc)
-          case None     => Val(name, schema)
-        }
+      case Source(name, schema) => Val(name, schema)
 
       case Filter(in, cond) =>
-        val p = go(in); val vs = freshVars(p.schema)
-        val varOf = p.schema.zip(vs).toMap
+        val (p, vs, varOf) = read(in)
         val preds = conjuncts(cond).map(c => PredAtom(exprTerm(c, varOf)))
         emit(p.schema.zip(vs.map(TVar(_): Term)), RelAtom(p.rel, vs) +: preds)
 
       case SelectCols(in, cols) =>
-        val p = go(in); val vs = freshVars(p.schema)
-        val varOf = p.schema.zip(vs).toMap
+        val (p, vs, varOf) = read(in)
         emit(cols.map(c => c -> (TVar(varOf(c)): Term)), Vector(RelAtom(p.rel, vs)))
 
       case w @ WithCols(in, newCols) =>
-        val p = go(in); val vs = freshVars(p.schema)
-        val varOf = p.schema.zip(vs).toMap
+        val (p, vs, varOf) = read(in)
         val assigns = newCols.map { case (n, e) => n -> AssignAtom(ng.fresh(n), exprTerm(e, varOf)) }
         val outVar: Map[String, String] = varOf ++ assigns.map { case (n, a) => n -> a.v }
         emit(w.schema.map(c => c -> (TVar(outVar(c)): Term)),
              RelAtom(p.rel, vs) +: assigns.map(_._2))
 
       case Rename(in, mapping) =>
-        val p = go(in); val vs = freshVars(p.schema)
+        val (p, vs, _) = read(in)
         emit(p.schema.zip(vs).map { case (c, v) => mapping.getOrElse(c, c) -> (TVar(v): Term) },
              Vector(RelAtom(p.rel, vs)))
 
       case m @ Merge(l, r, how, leftOn, rightOn, _) =>
-        val (pl, pr) = (go(l), go(r))
-        val lv = freshVars(pl.schema)
-        val lVarOf = pl.schema.zip(lv).toMap
-        how match {
-          case "inner" =>
-            // Join variables get identical names (Datalog unification, §III-C).
-            val joinVar: Map[String, String] = rightOn.zip(leftOn).map { case (rc, lc) => rc -> lVarOf(lc) }.toMap
-            val rv = pr.schema.map(c => joinVar.getOrElse(c, ng.fresh(c)))
-            val rVarOf = pr.schema.zip(rv).toMap
-            val cols = m.leftOut.map { case (src, out) => out -> (TVar(lVarOf(src)): Term) } ++
-                       m.rightOut.map { case (src, out) => out -> (TVar(rVarOf(src)): Term) }
-            emit(cols, Vector(RelAtom(pl.rel, lv), RelAtom(pr.rel, rv)))
-          case "cross" =>
-            val rv = freshVars(pr.schema)
-            val rVarOf = pr.schema.zip(rv).toMap
-            val cols = m.leftOut.map { case (src, out) => out -> (TVar(lVarOf(src)): Term) } ++
-                       m.rightOut.map { case (src, out) => out -> (TVar(rVarOf(src)): Term) }
-            emit(cols, Vector(RelAtom(pl.rel, lv), RelAtom(pr.rel, rv)))
+        go(l); val pr = go(r)   // both sides' rules before the left variables; read(l) hits the memo
+        val (pl, lv, lVarOf) = read(l)
+        // Inner-join variables get identical names (Datalog unification,
+        // §III-C); cross and outer joins keep distinct variables.
+        val joinVar: Map[String, String] =
+          if (how == "inner") rightOn.zip(leftOn).map { case (rc, lc) => rc -> lVarOf(lc) }.toMap else Map.empty
+        val rv = pr.schema.map(c => joinVar.getOrElse(c, ng.fresh(c)))
+        val rVarOf = pr.schema.zip(rv).toMap
+        val outer = how match {
+          case "inner" | "cross" => None
           case "left" | "right" | "full" =>
-            // Outer joins keep distinct variables and carry an explicit ON
-            // condition in the outer_* marker (§III-C).
-            val rv = freshVars(pr.schema)
-            val rVarOf = pr.schema.zip(rv).toMap
-            val on = leftOn.zip(rightOn).map { case (lc, rc) =>
-              TBin("=", TVar(lVarOf(lc)), TVar(rVarOf(rc))): Term }.reduce(TBin("and", _, _))
-            val cols = m.leftOut.map { case (src, out) => out -> (TVar(lVarOf(src)): Term) } ++
-                       m.rightOut.map { case (src, out) => out -> (TVar(rVarOf(src)): Term) }
-            emit(cols, Vector(RelAtom(pl.rel, lv), RelAtom(pr.rel, rv, Some((how, on)))))
+            // Outer joins carry an explicit ON condition in the outer_* marker (§III-C).
+            Some(how -> leftOn.zip(rightOn).map { case (lc, rc) =>
+              TBin("=", TVar(lVarOf(lc)), TVar(rVarOf(rc))): Term }.reduce(TBin("and", _, _)))
           case other => sys.error(s"merge: unsupported how='$other'")
         }
+        emit(m.leftOut.map { case (src, out) => out -> (TVar(lVarOf(src)): Term) } ++
+               m.rightOut.map { case (src, out) => out -> (TVar(rVarOf(src)): Term) },
+             Vector(RelAtom(pl.rel, lv), RelAtom(pr.rel, rv, outer)))
 
       case GroupAgg(in, keys, aggs) =>
-        val p = go(in); val vs = freshVars(p.schema)
-        val varOf = p.schema.zip(vs).toMap
+        val (p, vs, varOf) = read(in)
         val assigns = aggs.map(a => AssignAtom(ng.fresh(a.out), TAgg(a.fn, exprTerm(a.arg, varOf), a.distinct)))
         val cols = keys.map(k => k -> (TVar(varOf(k)): Term)) ++
                    aggs.zip(assigns).map { case (a, as) => a.out -> (TVar(as.v): Term) }
         emit(cols, RelAtom(p.rel, vs) +: assigns, group = keys.map(varOf))
 
       case ScalarAgg(in, aggs) =>
-        val p = go(in); val vs = freshVars(p.schema)
-        val varOf = p.schema.zip(vs).toMap
+        val (p, vs, varOf) = read(in)
         val assigns = aggs.map(a => AssignAtom(ng.fresh(a.out), TAgg(a.fn, exprTerm(a.arg, varOf), a.distinct)))
         emit(aggs.zip(assigns).map { case (a, as) => a.out -> (TVar(as.v): Term) },
              RelAtom(p.rel, vs) +: assigns)
 
       case SortLimit(in, by, asc, limit) =>
-        val p = go(in); val vs = freshVars(p.schema)
+        val (p, vs, _) = read(in)
         emit(p.schema.zip(vs.map(TVar(_): Term)), Vector(RelAtom(p.rel, vs)),
              sort = by.zip(asc.padTo(by.size, true)), limit = limit)
 
       case DistinctOp(in, cols) =>
-        val p = go(in); val vs = freshVars(p.schema)
-        val varOf = p.schema.zip(vs).toMap
+        val (p, vs, varOf) = read(in)
         emit(cols.map(c => c -> (TVar(varOf(c)): Term)), Vector(RelAtom(p.rel, vs)), distinct = true)
 
       case SemiJoin(l, r, on, neq, negated) =>
-        val (pl, pr) = (go(l), go(r))
-        val lv = freshVars(pl.schema)
-        val lVarOf = pl.schema.zip(lv).toMap
+        go(l); val pr = go(r)   // both sides' rules before the left variables; read(l) hits the memo
+        val (pl, lv, lVarOf) = read(l)
         // Correlate by giving the joined right-side columns the same vars.
         val joinVar: Map[String, String] = on.map { case (lc, rc) => rc -> lVarOf(lc) }.toMap
         val rv = pr.schema.map(c => joinVar.getOrElse(c, ng.fresh(c)))
@@ -157,8 +142,7 @@ object Lower {
              Vector(RelAtom(pl.rel, lv), ExistsAtom(RelAtom(pr.rel, rv) +: neqPreds, negated)))
 
       case Pivot(in, index, columns, values, distinctVals) =>
-        val p = go(in); val vs = freshVars(p.schema)
-        val varOf = p.schema.zip(vs).toMap
+        val (p, vs, varOf) = read(in)
         val (cv, vv) = (varOf(columns), varOf(values))
         val assigns = distinctVals.map { d =>
           val dc = d match { case i: Int => TConst(i.toLong); case v => TConst(v) }
@@ -171,41 +155,33 @@ object Lower {
       case AlignJoin(l, r) =>
         // §III-C implicit join: UID both sides, join on the id (which the
         // optimizer can later eliminate as a unique-key self-join).
-        def withUid(p: Val): Val = {
-          val vs = freshVars(p.schema); val idv = ng.fresh("id")
+        def withUid(in: POp): Val = {
+          val (p, vs, _) = read(in); val idv = ng.fresh("id")
           emit(("uid__" -> (TVar(idv): Term)) +: p.schema.zip(vs.map(TVar(_): Term)),
                Vector(RelAtom(p.rel, vs), AssignAtom(idv, TExt("uid", vs.map(TVar(_))))))
         }
-        val (pl, pr) = (withUid(go(l)), withUid(go(r)))
+        val (pl, pr) = (withUid(l), withUid(r))
         val id = ng.fresh("id")
         val lv = freshVars(pl.schema.tail); val rv = freshVars(pr.schema.tail)
         emit(pl.schema.tail.zip(lv.map(TVar(_): Term)) ++ pr.schema.tail.zip(rv.map(TVar(_): Term)),
              Vector(RelAtom(pl.rel, id +: lv), RelAtom(pr.rel, id +: rv)))
 
-      case tm @ ToMatrix(in, cols) =>
-        val p = go(in); val vs = freshVars(p.schema)
-        val varOf = p.schema.zip(vs).toMap
+      case ToMatrix(in, cols) =>
+        val (p, vs, varOf) = read(in)
         val idv = ng.fresh("id")
         val uid = AssignAtom(idv, TExt("uid", cols.map(c => TVar(varOf(c)))))
         val out = ("id" -> (TVar(idv): Term)) +:
           cols.zipWithIndex.map { case (c, i) => s"c$i" -> (TVar(varOf(c)): Term) }
-        emit(out, Vector(RelAtom(p.rel, vs), uid),
-             order = if (cols.size == 1) 1 else 2, nCols = cols.size)
+        emit(out, Vector(RelAtom(p.rel, vs), uid))
 
       case EinsumOp(spec, operands) =>
-        val ops = operands.map(go)
-        val dops = ops.map(o => Einsum.DenseOp(o.rel, o.order, o.nCols))
-        val lo = Einsum.lowerDense(spec, dops, ng)
+        // An operand's value columns follow its `id`; a scalar `(c0)` has none.
+        val lo = Einsum.lowerDense(spec, operands.map(go).map(o => Einsum.DenseOp(o.rel, o.schema.size - 1)), ng)
         rules ++= lo.rules
-        val schema = lo.order match {
-          case 0 => Vector("c0")
-          case 1 => Vector("id", "c0")
-          case _ => "id" +: (0 until lo.nCols).map(i => s"c$i").toVector
-        }
-        Val(lo.rel, schema, lo.order, lo.nCols)
+        Val(lo.result, lo.rules.last.head.colNames)
 
       case MatToDf(in, names) =>
-        val p = go(in); val vs = freshVars(p.schema)
+        val (p, vs, _) = read(in)
         emit(("id" -> (TVar(vs.head): Term)) +:
                names.zip(vs.tail).map { case (n, v) => n -> (TVar(v): Term) },
              Vector(RelAtom(p.rel, vs)))
@@ -213,14 +189,10 @@ object Lower {
 
     val res = go(root)
     // The result must be the program's final rule (programSql invariant).
-    val finalVal =
-      if (rules.nonEmpty && rules.last.head.rel == res.rel) res
-      else {
-        val vs = freshVars(res.schema)
-        val rel = ng.fresh("v")
-        rules += Rule(Head(rel, res.schema.zip(vs.map(TVar(_): Term))), Vector(RelAtom(res.rel, vs)))
-        Val(rel, res.schema)
-      }
-    Program(rules.toVector, finalVal.rel)
+    if (!rules.lastOption.exists(_.head.rel == res.rel)) {
+      val (_, vs, _) = read(root)
+      emit(res.schema.zip(vs.map(TVar(_): Term)), Vector(RelAtom(res.rel, vs)))
+    }
+    Program(rules.toVector, rules.last.head.rel)
   }
 }

@@ -1,6 +1,6 @@
 package repro.workloads
 
-import repro.core.{Catalog, TondIR}
+import repro.core.Catalog
 import repro.core.TondIR.{NameGen, Program}
 import repro.frontend.Dsl._
 import repro.tensor.Einsum
@@ -25,12 +25,8 @@ object CovarMicro {
 
   /** Sparse-layout TondIR program over COO table `m_coo` (Blacher-style
     * generic translation — §III-D's sparse path). */
-  def sparseProgram(): Program = {
-    val ng = new NameGen("sp")
-    val lo = Einsum.lowerSparse("ij,ik->jk",
-      Vector(Einsum.CooOp("m_coo", 2), Einsum.CooOp("m_coo", 2)), ng)
-    Program(lo.rules, lo.rel)
-  }
+  def sparseProgram(): Program =
+    Einsum.lowerSparse("ij,ik->jk", Vector(Einsum.CooOp("m_coo", 2), Einsum.CooOp("m_coo", 2)), new NameGen("sp"))
 
   private def cellsSql(nCols: Int): String =
     (for (j <- 0 until nCols; k <- 0 until nCols)

@@ -29,7 +29,7 @@ object Hybrid {
 
   private def matmul(filtered: Boolean): Workload = {
     val nm = if (filtered) "HybridMatmulFiltered" else "HybridMatmul"
-    Workload(nm, Seq("hybrid_a", "hybrid_b", "hybrid_weights"), _ => {
+    Workload(nm, _ => {
       val m = joined(filtered).toMatrix(matCols: _*)
       np.einsum("ij,j->i", m, matrixTable("hybrid_weights")).toDf("v")
     },
@@ -46,7 +46,7 @@ object Hybrid {
     val rows = (0 until n).map { j =>
       s"SELECT $j AS id, ${(0 until n).map(k => s"p${j}_$k AS k$k").mkString(", ")} FROM cells"
     }.mkString("\nUNION ALL ")
-    Workload(nm, Seq("hybrid_a", "hybrid_b"), _ => {
+    Workload(nm, _ => {
       val m = joined(filtered).toMatrix(matCols: _*)
       np.einsum("ij,ik->jk", m, m).toDf((0 until n).map(k => s"k$k"): _*)
     },

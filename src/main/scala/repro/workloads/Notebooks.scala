@@ -4,10 +4,8 @@ import repro.core.Catalog
 import repro.data.NotebookData
 import repro.frontend.Dsl._
 
-/** A data-science workload: DSL program + DuckDB reference SQL + the base
-  * tables it reads. */
-final case class Workload(name: String, tables: Seq[String],
-                          build: Catalog => Df, refSql: String)
+/** A data-science workload: DSL program + DuckDB reference SQL. */
+final case class Workload(name: String, build: Catalog => Df, refSql: String)
 
 /** The real-world data-science notebooks of §V-A, reconstructed over
   * synthetic data (see DESIGN.md): Weld's Crime Index and Birth Analysis,
@@ -20,7 +18,7 @@ object Notebooks {
   /** Crime Index: Pandas filter → NumPy einsum (matrix–vector with a weight
     * vector) → Pandas filter/aggregate. The paper's canonical hybrid
     * pipeline (Pandas → NumPy → Pandas). */
-  val crimeIndex: Workload = Workload("CrimeIndex", Seq("crimes", "crime_weights"), _ => {
+  val crimeIndex: Workload = Workload("CrimeIndex", _ => {
     val bigCities = table("crimes").filter(col("total_population") > lit(500000.0))
     val arr = bigCities.toMatrix("total_population", "adult_population", "num_robberies")
     val ci  = np.einsum("ij,j->i", arr, matrixTable("crime_weights"))
@@ -35,7 +33,7 @@ object Notebooks {
 
   /** Birth Analysis: pivot_table on sex (decorator-supplied distinct
     * values), ratio computation ("fancy indexing"), filter, sort. */
-  val birthAnalysis: Workload = Workload("BirthAnalysis", Seq("births"), _ =>
+  val birthAnalysis: Workload = Workload("BirthAnalysis", _ =>
     table("births")
       .pivotTable("year", "sex", "births", Seq("F", "M"))
       .withCol("ratio", col("F") / (col("F") + col("M")))
@@ -53,7 +51,7 @@ object Notebooks {
 
   /** N3: a pure-relational airline pipeline — filter, two group-bys over the
     * same scan, merge, derived column, sort+limit. */
-  val n3: Workload = Workload("N3", Seq("flights"), _ => {
+  val n3: Workload = Workload("N3", _ => {
     val ok = table("flights").filter(col("cancelled") === lit(0L))
     val byRoute = ok.groupby("origin", "carrier")
       .agg(AggSpec("avg_dep", "avg", col("dep_delay")),
@@ -80,7 +78,7 @@ object Notebooks {
 
   /** N9: filter + derived banding column + group-by + sort (survey-style
     * aggregation notebook). */
-  val n9: Workload = Workload("N9", Seq("salaries"), _ =>
+  val n9: Workload = Workload("N9", _ =>
     table("salaries")
       .filter((col("age") >= lit(25L)) && (col("age") <= lit(45L)))
       .withCol("band",

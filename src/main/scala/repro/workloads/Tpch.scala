@@ -17,7 +17,7 @@ import repro.frontend.Dsl._
   */
 object Tpch {
 
-  final case class Query(id: Int, tables: Seq[String], build: Catalog => Df, refSql: String)
+  final case class Query(id: Int, build: Catalog => Df, refSql: String)
 
   implicit private val cat: Catalog = TpchData.catalog
 
@@ -33,7 +33,7 @@ object Tpch {
   private val revenueExpr = col("l_extendedprice") * (lit(1.0) - col("l_discount"))
 
   // ---------------------------------------------------------------- queries
-  val q1 = Query(1, Seq("lineitem"), _ =>
+  val q1 = Query(1, _ =>
     li.filter(col("l_shipdate") <= date("1998-09-02"))
       .withCols(
         "disc_price" -> revenueExpr,
@@ -58,7 +58,7 @@ object Tpch {
       |FROM lineitem WHERE l_shipdate <= DATE '1998-09-02'
       |GROUP BY l_returnflag, l_linestatus""".stripMargin)
 
-  val q2 = Query(2, Seq("part", "partsupp", "supplier", "nation", "region"), _ => {
+  val q2 = Query(2, _ => {
     val joined = prt.filter((col("p_size") === lit(15)) && col("p_type").like("%BRASS"))
       .mergeOn(ps, Seq("p_partkey"), Seq("ps_partkey"))
       .mergeOn(sup, Seq("ps_suppkey"), Seq("s_suppkey"))
@@ -84,7 +84,7 @@ object Tpch {
       |      AND r_name = 'EUROPE')
       |ORDER BY s_acctbal DESC, n_name, s_name, p_partkey LIMIT 100""".stripMargin)
 
-  val q3 = Query(3, Seq("customer", "orders", "lineitem"), _ =>
+  val q3 = Query(3, _ =>
     cst.filter(col("c_mktsegment") === lit("BUILDING"))
       .mergeOn(ord.filter(col("o_orderdate") < date("1995-03-15")), Seq("c_custkey"), Seq("o_custkey"))
       .mergeOn(li.filter(col("l_shipdate") > date("1995-03-15")), Seq("o_orderkey"), Seq("l_orderkey"))
@@ -103,7 +103,7 @@ object Tpch {
       |GROUP BY l_orderkey, o_orderdate, o_shippriority
       |ORDER BY revenue DESC, o_orderdate, l_orderkey LIMIT 10""".stripMargin)
 
-  val q4 = Query(4, Seq("orders", "lineitem"), _ =>
+  val q4 = Query(4, _ =>
     ord.filter((col("o_orderdate") >= date("1993-07-01")) && (col("o_orderdate") < date("1993-10-01")))
       .semiJoin(li.filter(col("l_commitdate") < col("l_receiptdate")),
                 on = Seq("o_orderkey" -> "l_orderkey"))
@@ -116,7 +116,7 @@ object Tpch {
       |              WHERE l_orderkey = o_orderkey AND l_commitdate < l_receiptdate)
       |GROUP BY o_orderpriority ORDER BY o_orderpriority""".stripMargin)
 
-  val q5 = Query(5, Seq("customer", "orders", "lineitem", "supplier", "nation", "region"), _ =>
+  val q5 = Query(5, _ =>
     cst
       .mergeOn(ord.filter((col("o_orderdate") >= date("1994-01-01")) && (col("o_orderdate") < date("1995-01-01"))),
                Seq("c_custkey"), Seq("o_custkey"))
@@ -136,7 +136,7 @@ object Tpch {
       |  AND o_orderdate < DATE '1995-01-01'
       |GROUP BY n_name ORDER BY revenue DESC""".stripMargin)
 
-  val q6 = Query(6, Seq("lineitem"), _ =>
+  val q6 = Query(6, _ =>
     li.filter((col("l_shipdate") >= date("1994-01-01")) && (col("l_shipdate") < date("1995-01-01")) &&
               (col("l_discount") >= lit(0.05)) && (col("l_discount") <= lit(0.07)) &&
               (col("l_quantity") < lit(24.0)))
@@ -145,7 +145,7 @@ object Tpch {
       |WHERE l_shipdate >= DATE '1994-01-01' AND l_shipdate < DATE '1995-01-01'
       |  AND l_discount >= 0.05 AND l_discount <= 0.07 AND l_quantity < 24""".stripMargin)
 
-  val q7 = Query(7, Seq("supplier", "lineitem", "orders", "customer", "nation"), _ => {
+  val q7 = Query(7, _ => {
     val n1 = nat.rename("n_nationkey" -> "n1_key", "n_name" -> "supp_nation", "n_regionkey" -> "n1_reg")
     val n2 = nat.rename("n_nationkey" -> "n2_key", "n_name" -> "cust_nation", "n_regionkey" -> "n2_reg")
     sup
@@ -174,7 +174,7 @@ object Tpch {
       |GROUP BY n1.n_name, n2.n_name, YEAR(l_shipdate)
       |ORDER BY supp_nation, cust_nation, l_year""".stripMargin)
 
-  val q8 = Query(8, Seq("part", "lineitem", "orders", "customer", "supplier", "nation", "region"), _ => {
+  val q8 = Query(8, _ => {
     val n1 = nat.rename("n_nationkey" -> "n1_key", "n_name" -> "n1_name", "n_regionkey" -> "n1_reg")
     val n2 = nat.rename("n_nationkey" -> "n2_key", "n_name" -> "n2_name", "n_regionkey" -> "n2_reg")
     prt.filter(col("p_type") === lit("ECONOMY ANODIZED STEEL"))
@@ -207,7 +207,7 @@ object Tpch {
       |    AND p_type = 'ECONOMY ANODIZED STEEL') t
       |GROUP BY o_year ORDER BY o_year""".stripMargin)
 
-  val q9 = Query(9, Seq("part", "lineitem", "supplier", "partsupp", "orders", "nation"), _ =>
+  val q9 = Query(9, _ =>
     prt.filter(col("p_name").like("%green%"))
       .mergeOn(li, Seq("p_partkey"), Seq("l_partkey"))
       .mergeOn(sup, Seq("l_suppkey"), Seq("s_suppkey"))
@@ -228,7 +228,7 @@ object Tpch {
       |  AND p_name LIKE '%green%'
       |GROUP BY n_name, YEAR(o_orderdate) ORDER BY n_name, o_year DESC""".stripMargin)
 
-  val q10 = Query(10, Seq("customer", "orders", "lineitem", "nation"), _ =>
+  val q10 = Query(10, _ =>
     cst
       .mergeOn(ord.filter((col("o_orderdate") >= date("1993-10-01")) && (col("o_orderdate") < date("1994-01-01"))),
                Seq("c_custkey"), Seq("o_custkey"))
@@ -249,7 +249,7 @@ object Tpch {
       |GROUP BY c_custkey, c_name, c_acctbal, c_phone, n_name, c_address, c_comment
       |ORDER BY revenue DESC, c_custkey LIMIT 20""".stripMargin)
 
-  val q11 = Query(11, Seq("partsupp", "supplier", "nation"), _ => {
+  val q11 = Query(11, _ => {
     val joined = ps
       .mergeOn(sup, Seq("ps_suppkey"), Seq("s_suppkey"))
       .mergeOn(nat.filter(col("n_name") === lit("GERMANY")), Seq("s_nationkey"), Seq("n_nationkey"))
@@ -271,7 +271,7 @@ object Tpch {
       |  WHERE ps_suppkey = s_suppkey AND s_nationkey = n_nationkey AND n_name = 'GERMANY')
       |ORDER BY value DESC, ps_partkey""".stripMargin)
 
-  val q12 = Query(12, Seq("orders", "lineitem"), _ =>
+  val q12 = Query(12, _ =>
     ord
       .mergeOn(li.filter(col("l_shipmode").in("MAIL", "SHIP") &&
                          (col("l_commitdate") < col("l_receiptdate")) &&
@@ -295,7 +295,7 @@ object Tpch {
       |  AND l_receiptdate >= DATE '1994-01-01' AND l_receiptdate < DATE '1995-01-01'
       |GROUP BY l_shipmode ORDER BY l_shipmode""".stripMargin)
 
-  val q13 = Query(13, Seq("customer", "orders"), _ =>
+  val q13 = Query(13, _ =>
     cst
       .mergeOn(ord.filter(col("o_comment").notLike("%special%requests%")),
                Seq("c_custkey"), Seq("o_custkey"), how = "left")
@@ -309,7 +309,7 @@ object Tpch {
       |  GROUP BY c_custkey) t
       |GROUP BY c_count ORDER BY custdist DESC, c_count DESC""".stripMargin)
 
-  val q14 = Query(14, Seq("lineitem", "part"), _ =>
+  val q14 = Query(14, _ =>
     li.filter((col("l_shipdate") >= date("1995-09-01")) && (col("l_shipdate") < date("1995-10-01")))
       .mergeOn(prt, Seq("l_partkey"), Seq("p_partkey"))
       .withCols(
@@ -325,7 +325,7 @@ object Tpch {
       |WHERE l_partkey = p_partkey
       |  AND l_shipdate >= DATE '1995-09-01' AND l_shipdate < DATE '1995-10-01'""".stripMargin)
 
-  val q15 = Query(15, Seq("supplier", "lineitem"), _ => {
+  val q15 = Query(15, _ => {
     val rev = li.filter((col("l_shipdate") >= date("1996-01-01")) && (col("l_shipdate") < date("1996-04-01")))
       .withCol("volume", revenueExpr)
       .groupby("l_suppkey").agg(AggSpec("total_revenue", "sum", col("volume")))
@@ -347,7 +347,7 @@ object Tpch {
       |  AND total_revenue = (SELECT MAX(total_revenue) FROM revenue)
       |ORDER BY s_suppkey""".stripMargin)
 
-  val q16 = Query(16, Seq("partsupp", "part", "supplier"), _ =>
+  val q16 = Query(16, _ =>
     prt.filter((col("p_brand") !== lit("Brand#45")) &&
                col("p_type").notLike("MEDIUM POLISHED%") &&
                col("p_size").in(49, 14, 23, 45, 19, 3, 36, 9))
@@ -367,7 +367,7 @@ object Tpch {
       |GROUP BY p_brand, p_type, p_size
       |ORDER BY supplier_cnt DESC, p_brand, p_type, p_size""".stripMargin)
 
-  val q17 = Query(17, Seq("lineitem", "part"), _ => {
+  val q17 = Query(17, _ => {
     val pj = li.mergeOn(prt.filter((col("p_brand") === lit("Brand#23")) && (col("p_container") === lit("MED BOX"))),
                         Seq("l_partkey"), Seq("p_partkey"))
     val avgq = pj.groupby("l_partkey").agg(AggSpec("avg_qty", "avg", col("l_quantity")))
@@ -384,7 +384,7 @@ object Tpch {
       |  AND l_quantity < (SELECT 0.2*AVG(l2.l_quantity) FROM lineitem l2
       |                    WHERE l2.l_partkey = p_partkey)""".stripMargin)
 
-  val q18 = Query(18, Seq("customer", "orders", "lineitem"), _ => {
+  val q18 = Query(18, _ => {
     // Quantity threshold adapted from 300 to 150: the synthetic SF≤1 data
     // has ~4 lines/order, so the spec value selects (almost) nothing.
     val big = li.groupby("l_orderkey").agg(AggSpec("sum_qty", "sum", col("l_quantity")))
@@ -407,7 +407,7 @@ object Tpch {
       |GROUP BY c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice
       |ORDER BY o_totalprice DESC, o_orderdate, o_orderkey LIMIT 100""".stripMargin)
 
-  val q19 = Query(19, Seq("lineitem", "part"), _ =>
+  val q19 = Query(19, _ =>
     li.filter(col("l_shipmode").in("AIR", "REG AIR") &&
               (col("l_shipinstruct") === lit("DELIVER IN PERSON")))
       .mergeOn(prt, Seq("l_partkey"), Seq("p_partkey"))
@@ -433,7 +433,7 @@ object Tpch {
       |    OR (p_brand = 'Brand#34' AND p_container IN ('LG CASE','LG BOX')
       |        AND l_quantity >= 20 AND l_quantity <= 30 AND p_size BETWEEN 1 AND 15))""".stripMargin)
 
-  val q20 = Query(20, Seq("supplier", "nation", "partsupp", "part", "lineitem"), _ => {
+  val q20 = Query(20, _ => {
     val qty = li.filter((col("l_shipdate") >= date("1994-01-01")) && (col("l_shipdate") < date("1995-01-01")))
       .groupby("l_partkey", "l_suppkey").agg(AggSpec("sum_qty", "sum", col("l_quantity")))
     val excess = ps
@@ -458,7 +458,7 @@ object Tpch {
       |  AND s_nationkey = n_nationkey AND n_name = 'CANADA'
       |ORDER BY s_name""".stripMargin)
 
-  val q21 = Query(21, Seq("supplier", "lineitem", "orders", "nation"), _ => {
+  val q21 = Query(21, _ => {
     val l1 = li.filter(col("l_receiptdate") > col("l_commitdate"))
     val base = sup
       .mergeOn(nat.filter(col("n_name") === lit("SAUDI ARABIA")), Seq("s_nationkey"), Seq("n_nationkey"))
@@ -483,7 +483,7 @@ object Tpch {
       |  AND s_nationkey = n_nationkey AND n_name = 'SAUDI ARABIA'
       |GROUP BY s_name ORDER BY numwait DESC, s_name LIMIT 100""".stripMargin)
 
-  val q22 = Query(22, Seq("customer", "orders"), _ => {
+  val q22 = Query(22, _ => {
     val codes = Seq("13", "31", "23", "29", "30", "18", "17")
     val cust2 = cst.withCol("cntrycode", col("c_phone").substr(1, 2))
     val pos = cust2.filter((col("c_acctbal") > lit(0.0)) && col("cntrycode").in(codes: _*))
