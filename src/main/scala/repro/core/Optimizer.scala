@@ -226,10 +226,13 @@ object Optimizer {
 
   // ----------------------------------------------------------- rule inlining
   /** A rule is a flow breaker (Table VII) if it aggregates, groups, is
-    * DISTINCT, sorts/limits, contains an outer join, or is the sink rule. */
+    * DISTINCT, sorts/limits, contains an outer join, or is the sink rule —
+    * or assigns `uid`, a window that numbers its own input rows (spliced
+    * under a consumer's filter or join, it would number other rows). */
   def isFlowBreaker(r: Rule, p: Program): Boolean =
     r.hasAgg || r.head.distinct || r.head.sort.nonEmpty || r.head.limit.nonEmpty ||
-      r.hasOuter || r.head.rel == p.result
+      r.hasOuter || r.head.rel == p.result ||
+      r.body.exists { case AssignAtom(_, TExt("uid", _)) => true; case _ => false }
 
   /** Fuse chains of non-flow-breaker rules into their (single) consumer.
     * Variables of the inlined body are renamed so head columns line up with

@@ -265,55 +265,52 @@ object MiniPandas {
   }
 
   // -------------------------------------------------------------- MiniNumPy
-  /** Dense matrix from an array table `(id, c0..)`, ordered by id. */
-  private def toDense(t: Table): Array[Array[Double]] =
-    t.rows.sortBy(r => num(r(0))).map(r => r.drop(1).map(num)).toArray
-
-  private def fromDense(m: Array[Array[Double]]): Table = {
-    val n = if (m.isEmpty) 0 else m(0).length
-    Table("id" +: (0 until n).map(i => s"c$i").toVector,
-      m.zipWithIndex.map { case (r, i) => (i.toLong +: r.toVector.map(_.asInstanceOf[Any])).toArray }.toVector)
+  /** An array table's values, row-major: `(id, c0..)` ordered by id, or the
+    * one value of a one-row `(c0)` scalar. */
+  private def toDense(t: Table): Array[Double] = {
+    val w = t.schema.size - 1
+    require(w > 0 || t.rows.size == 1, s"mini einsum: a (c0) scalar has ${t.rows.size} rows")
+    if (w == 0) return Array(num(t.rows(0)(0)))
+    val a = new Array[Double](t.rows.size * w)
+    for ((r, i) <- t.rows.sortBy(r => num(r(0))).iterator.zipWithIndex; c <- 0 until w) a(i * w + c) = num(r(c + 1))
+    a
   }
 
-  private def scalarTable(v: Double): Table = Table(Vector("c0"), Vector(Array(v)))
-
-  /** Naive-loop einsum over dense arrays — the NumPy stand-in. */
+  /** Einsum as one loop nest over the index extents, as NumPy's unoptimized
+    * `einsum` runs it — the NumPy stand-in. `Einsum.extents` applies NumPy's
+    * shape rules to the full shapes. Indices nest in order of first
+    * appearance in the inputs, and precomputed strides keep each operand's
+    * offset current. The result is `(c0)`, `(id, c0)` or `(id, c0..)`. */
   def einsum(spec: String, ops: Vector[Table]): Table = {
-    Einsum.normalize(spec) match {
-      case "i->" | "ij->" =>
-        scalarTable(toDense(ops(0)).map(_.sum).sum)
-      case "ij->i" =>
-        fromDense(toDense(ops(0)).map(r => Array(r.sum)))
-      case "ij->j" =>
-        val m = toDense(ops(0)); val n = m(0).length
-        fromDense((0 until n).map(j => Array(m.map(_(j)).sum)).toArray)
-      case "ii->i" =>
-        fromDense(toDense(ops(0)).zipWithIndex.map { case (r, i) => Array(if (i < r.length) r(i) else 0.0) })
-      case "ij,ij->ij" | "i,i->i" =>
-        val (a, b) = (toDense(ops(0)), toDense(ops(1)))
-        fromDense(a.zip(b).map { case (x, y) => x.zip(y).map { case (p, q) => p * q } })
-      case "i,i->" =>
-        val (a, b) = (toDense(ops(0)), toDense(ops(1)))
-        scalarTable(a.zip(b).map { case (x, y) => x(0) * y(0) }.sum)
-      case "ij,ik->jk" =>
-        val (a, b) = (toDense(ops(0)), toDense(ops(1)))
-        val (n1, n2) = (a(0).length, b(0).length)
-        val out = Array.fill(n1, n2)(0.0)
-        var i = 0
-        while (i < a.length) {
-          var j = 0
-          while (j < n1) { var k = 0; while (k < n2) { out(j)(k) += a(i)(j) * b(i)(k); k += 1 }; j += 1 }
-          i += 1
-        }
-        fromDense(out)
-      case "ij,j->i" =>
-        val (a, v) = (toDense(ops(0)), toDense(ops(1)).map(_(0)))
-        fromDense(a.map(r => Array(r.zip(v).map { case (x, y) => x * y }.sum)))
-      case "ij,jk->ik" =>
-        val (a, b) = (toDense(ops(0)), toDense(ops(1)))
-        fromDense(a.map { r =>
-          (0 until b(0).length).map(k => r.indices.map(j => r(j) * b(j)(k)).sum).toArray })
-      case other => sys.error(s"mini einsum: $other")
+    val s = Einsum.parse(spec)
+    val ext = Einsum.extents(s, ops.map(t => (Some(t.rows.size), t.schema.size - 1)))
+    val idx = s.inputs.mkString.distinct
+    val n = idx.map(ext).toArray
+    // How far a row-major tensor over `ix`'s indices moves as each loop index steps.
+    def strides(ix: String): Array[Int] =
+      idx.map(c => ix.indices.filter(ix(_) == c).map(p => ix.drop(p + 1).map(ext).product).sum).toArray
+    val vals = ops.map(toDense).toArray
+    val opStride = { val st = s.inputs.map(strides); Array.tabulate(n.length, st.size)((d, k) => st(k)(d)) }
+    val outStride = strides(s.output)
+    val out = new Array[Double](s.output.map(ext).product)
+    val off = new Array[Int](vals.length)
+    // Loop `d` of the nest, at output offset `o`; the innermost loop does one
+    // multiply-add per index tuple.
+    def nest(d: Int, o: Int): Unit = {
+      val (st, os) = (opStride(d), outStride(d)); var t = 0; var k = 0
+      if (d == n.length - 1) while (t < n(d)) {
+        var p = 1.0; k = 0
+        while (k < vals.length) { p *= vals(k)(off(k) + t * st(k)); k += 1 }
+        out(o + t * os) += p; t += 1
+      } else {
+        while (t < n(d)) { nest(d + 1, o + t * os); k = 0; while (k < vals.length) { off(k) += st(k); k += 1 }; t += 1 }
+        k = 0; while (k < vals.length) { off(k) -= n(d) * st(k); k += 1 }
+      }
     }
+    if (n.isEmpty) out(0) = vals.map(_(0)).product else nest(0, 0)
+    val w = if (s.output.length == 2) ext(s.output(1)) else 1
+    if (s.output.isEmpty) Table(Vector("c0"), Vector(Array(out(0))))
+    else Table("id" +: Vector.tabulate(w)(c => s"c$c"), Vector.tabulate(out.length / w)(i =>
+      Array.tabulate[Any](w + 1)(c => if (c == 0) i.toLong else out(i * w + c - 1))))
   }
 }

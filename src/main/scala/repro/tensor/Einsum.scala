@@ -7,15 +7,19 @@ import repro.core.TondIR._
   * '''Dense layout''': tensors are relations `(id, c0..c{n-1})` with a
   * 0-based unique `id`; a vector is an `n×1` matrix; a scalar is a one-row
   * relation `(c0)`. A tensor's shape is the head of the rule that derives
-  * it. [[lowerDense]] lowers each supported spec straight to its kernel
-  * rules: total, row and column sums, the diagonal, scalar, Hadamard and dot
-  * products, the batch outer product (ES8), and the matrix product, whose
-  * right operand is broadcast into one wide row by conditional sums. Wide
-  * one-row results are reshaped back to `(id, c0..)` form with an inline
-  * VALUES index and if-chains — the Fig. 2 pattern. [[plan]] is the
-  * symbolic Table VI reduction of a spec to kernel names; tests check it
-  * against the paper's `'ab,cc->ba'` walk-through, and lowering does not
-  * call it.
+  * it. [[extents]] holds NumPy's shape rules; lowering and the MiniPandas
+  * baseline both call it. [[lowerDense]]'s match is the one list of specs
+  * that lower, each straight to its kernel rules: `'i->'`, `'ij->'`,
+  * `'ij->i'`, `'ij->j'`, `'ii->i'`, `'ii->'`, `',->'`, `',ij->ij'`,
+  * `'ij,->ij'`, `'ij,ij->ij'`, `'i,i->i'`, `'i,i->'`, `'ij,ij->'`, the
+  * batch outer product `'ij,ik->jk'` (ES8), and the matrix products
+  * `'ij,jk->ik'` and `'ij,j->i'`, whose right operand is broadcast into one
+  * wide row by conditional sums. Wide one-row results are reshaped back to
+  * `(id, c0..)` form with an inline VALUES index and if-chains — the Fig. 2
+  * pattern. Lowering sees column counts only, so row counts that break
+  * NumPy's rules go unchecked (a deviation, DESIGN.md): a non-square `'ii'`
+  * reads 0.0 past the last column, and a matrix product reads the right
+  * operand's rows `0..n-1` for the left operand's `n` columns.
   *
   * '''Sparse (COO) layout''': tensors are `(i, j, v)` / `(i, v)` relations;
   * any n-ary einsum is translated generically à la Blacher et al.: join the
@@ -34,34 +38,27 @@ object Einsum {
   /** Dense operand: relation name + number of value columns (0 ⇒ scalar). */
   final case class DenseOp(rel: String, nCols: Int)
 
-  // ==================================================================== plan
-  /** Symbolic kernel planning: reduce a binary/unary einsum over order ≤ 2
-    * tensors to a chain of fundamental-kernel applications (Table VI names,
-    * plus the operand `swap` step from §III-D). */
-  def plan(spec: String): Vector[String] = {
-    val s = normalize(spec)
-    s match {
-      case "i->"                 => Vector("ES1")
-      case "ij->i"               => Vector("ES2")
-      case "ij->j"               => Vector("ES2T")          // column sums (reshape of ES2 on the transpose)
-      case "ii->i"               => Vector("ES3")
-      case "ii->"                => Vector("ES3", "ES1")
-      case "ij->ji"              => Vector("ES4")
-      case "ij->"                => Vector("ES2", "ES1")
-      case ",->"                 => Vector("ES5")
-      case ",ij->ij" | "ij,->ij" => Vector("ES6")
-      case "ij,ij->ij"           => Vector("ES7")
-      case "ij,ik->jk"           => Vector("ES8")
-      case "ij,ik->ij"           => Vector("ES9")
-      case "i,i->"               => Vector("ES8")           // 1-col instance of batch outer + scalar reshape
-      case "i,j->ij"             => Vector("ES8T")          // outer product: ES8 with degenerate batch — via broadcast
-      case "ij,j->i"             => Vector("BCAST", "ES9")  // matrix–vector: broadcast vector row, row-wise dot
-      case "ij,jk->ik"           => Vector("BCAST", "MM")   // matmul: broadcast right operand, row-wise dots
-      case "ij,kk->ji" =>
-        // The paper's worked example ('ab,cc->ba'): diagonalize, total the
-        // right operand to a scalar, swap operands, transpose, then ES6.
-        Vector("ES3", "ES1", "swap", "ES4", "ES6")
-      case other => sys.error(s"einsum planner: unsupported dense spec '$other'")
+  /** NumPy's shape rules for `s` over dense operands, each given as
+    * `(rows, nCols)`: `nCols` is 0 for a one-row `(c0)` scalar, 1 for an
+    * `n×1` vector and more for a matrix, and `rows` is `None` where the
+    * caller cannot know it. There must be one operand per input, and each
+    * input names as many indices as its operand's order (0, 1 or 2); an
+    * output index may not repeat and must appear in some input; all known
+    * extents of one index must agree. Returns each index's known extent. */
+  def extents(s: Spec, shapes: Vector[(Option[Int], Int)]): Map[Char, Int] = {
+    def fail(msg: String): Nothing =
+      throw new IllegalArgumentException(s"einsum '${s.inputs.mkString(",")}->${s.output}': $msg")
+    if (s.inputs.size != shapes.size) fail(s"${s.inputs.size} inputs but ${shapes.size} operands")
+    if (s.output.distinct != s.output) fail("an output index repeats")
+    s.output.find(c => !s.inputs.exists(_.contains(c))).foreach(c => fail(s"output index '$c' is in no input"))
+    val known = s.inputs.zip(shapes).flatMap { case (ix, (rows, nCols)) =>
+      val dims = nCols match { case 0 => Vector(); case 1 => Vector(rows); case n => Vector(rows, Some(n)) }
+      if (ix.length != dims.size) fail(s"'$ix' names ${ix.length} indices of an order-${dims.size} operand")
+      ix.zip(dims).collect { case (c, Some(n)) => c -> n }
+    }
+    known.groupMap(_._1)(_._2).map { case (c, ns) =>
+      if (ns.distinct.size > 1) fail(s"index '$c' has extents ${ns.distinct.mkString(" and ")}")
+      c -> ns.head
     }
   }
 
@@ -75,10 +72,12 @@ object Einsum {
   }
 
   // ============================================================= dense lower
-  /** Lower a dense einsum over the given operands. `ng` supplies fresh
-    * variable/relation names; the last rule derives the result, and its head
-    * is the result's shape: `(c0)` for a scalar, `(id, c0..)` otherwise. */
+  /** Lower a dense einsum over operands whose column counts [[extents]]
+    * checks; any spec the match does not list is an error. `ng` supplies
+    * fresh variable/relation names; the last rule derives the result, and
+    * its head is the result's shape: `(c0)` or `(id, c0..)`. */
   def lowerDense(spec: String, ops: Vector[DenseOp], ng: NameGen): Program = {
+    extents(parse(spec), ops.map(op => (None, op.nCols)))
     val rules = normalize(spec) match {
       case "i->" | "ij->"          => totalSum(ops(0), ng)
       case "ij->i"                 => rowSum(ops(0), ng)

@@ -3,6 +3,8 @@ package repro.core
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.types._
 import repro.{InputSet, Oracle, SparkSpec}
+import repro.frontend.Dsl
+import repro.mini.MiniPandas
 import TondIR._
 
 /** Feature-level tests of both body emitters over tiny inline tables: each
@@ -38,6 +40,15 @@ class SqlGenSpec extends SparkSpec {
     for (level <- levels)
       try run(Optimizer.optimize(p, cat, level), expected)
       catch { case e: Exception => fail(s"at O$level: ${e.getMessage}", e) }
+
+  /** Check the DSL program `df` on DuckDB SQL at O0–O4 and on MiniPandas. */
+  private def runDsl(df: Dsl.Df, expected: String): Unit = {
+    for (level <- 0 to 4)
+      try Oracle.assertSqlEquivalent(in.duck, Pipeline.toSql(df, cat, SqlGen.DuckDialect, level), expected)
+      catch { case e: Exception => fail(s"at O$level: ${e.getMessage}", e) }
+    val t = MiniPandas.run(df, in.mini)
+    Oracle.assertRowsEquivalentOn(in.duck, t.schema, t.rows.map(_.toSeq), expected)
+  }
 
   private def v(n: String) = TVar(n)
 
@@ -226,5 +237,28 @@ class SqlGenSpec extends SparkSpec {
       "EXISTS (SELECT 1 FROM u u2 WHERE u2.y * 2 > t.x))")
     val e = intercept[RuntimeException](SparkGen.compile(p, in.tables, cat, spark))
     assert(e.getMessage.contains("x is bound two levels out"), e.getMessage)
+  }
+
+  // ----------------------------------------- UID windows are flow breakers
+  test("a UID rule is not inlined under a consumer that filters (O0–O4)") {
+    // P(id, k, x) :- t(k, s, x), id = uid(x).   r(id2, x2) :- P(id2, k2, x2), x2 > 15.
+    val p = Program(Vector(
+      Rule(Head("P", Vector("id" -> v("id"), "k" -> v("k"), "x" -> v("x"))),
+           Vector(tk, AssignAtom("id", TExt("uid", Seq(v("x")))))),
+      Rule(Head("r", Vector("id2" -> v("id2"), "x2" -> v("x2"))),
+           Vector(RelAtom("P", Vector("id2", "k2", "x2")), PredAtom(TBin(">", v("x2"), TConst(15.0)))))), "r")
+    runAt(0 to 4, p,
+      "SELECT id AS id2, x AS x2 FROM (SELECT ROW_NUMBER() OVER (ORDER BY x) - 1 AS id, x FROM t) WHERE x > 15")
+  }
+
+  test("toMatrix numbers the rows before a later filter (O0–O4, MiniPandas)") {
+    runDsl(Dsl.table("t")(cat).toMatrix("x").toDf("x").filter(Dsl.col("x") > Dsl.lit(15.0)),
+      "SELECT id, x FROM (SELECT ROW_NUMBER() OVER (ORDER BY x) - 1 AS id, x FROM t) WHERE x > 15")
+  }
+
+  test("alignWith pairs two relations by their row numbers (O0–O4, MiniPandas)") {
+    runDsl(Dsl.table("t")(cat).select("x").alignWith(Dsl.table("u")(cat).select("y")),
+      "SELECT x, y FROM (SELECT x, ROW_NUMBER() OVER (ORDER BY x) AS n FROM t) a " +
+      "JOIN (SELECT y, ROW_NUMBER() OVER (ORDER BY y) AS n FROM u) b ON a.n = b.n")
   }
 }

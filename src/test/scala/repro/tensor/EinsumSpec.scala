@@ -4,43 +4,21 @@ import repro.{InputSet, Oracle, SparkSpec}
 import repro.core.{Catalog, SparkGen, SqlGen}
 import repro.core.TondIR.{NameGen, Program}
 import repro.data.NotebookData
+import repro.frontend.Dsl.{EinsumOp, Source}
+import repro.mini.MiniPandas
 
-/** Einsum planner and kernel tests (§III-D, Table VI): symbolic kernel
-  * reduction — including the paper's `'ab,cc->ba'` walk-through — and
-  * end-to-end execution of every spec `lowerDense` accepts plus the generic
-  * sparse path, each through SqlGen's DuckDB SQL and SparkGen's plan,
+/** Einsum kernel tests (§III-D, Table VI): every spec `lowerDense` accepts
+  * runs through SqlGen's DuckDB SQL, SparkGen's plan and the MiniPandas
+  * baseline, and the generic sparse path through both emitters, each
   * checked against DuckDB computing the same contraction from the input
-  * tables. */
+  * tables. Where only row counts break NumPy's shape rules, the compiled
+  * paths answer and MiniPandas raises — the deviation DESIGN.md documents. */
 class EinsumSpec extends SparkSpec {
 
-  // ------------------------------------------------------------- planning
   test("normalize renames indices in first-appearance order (§III-D)") {
     assert(Einsum.normalize("ab,cc->ba") == "ij,kk->ji")
     assert(Einsum.normalize("ba->ab") == "ij->ji")
     assert(Einsum.normalize("qq->q") == "ii->i")
-  }
-
-  test("paper's worked example 'ab,cc->ba' reduces to ES3,ES1,swap,ES4,ES6") {
-    assert(Einsum.plan("ab,cc->ba") == Vector("ES3", "ES1", "swap", "ES4", "ES6"))
-  }
-
-  test("fundamental kernels plan to themselves (Table VI)") {
-    assert(Einsum.plan("i->") == Vector("ES1"))
-    assert(Einsum.plan("ij->i") == Vector("ES2"))
-    assert(Einsum.plan("ii->i") == Vector("ES3"))
-    assert(Einsum.plan("ij->ji") == Vector("ES4"))
-    assert(Einsum.plan(",->") == Vector("ES5"))
-    assert(Einsum.plan(",ij->ij") == Vector("ES6"))
-    assert(Einsum.plan("ij,ij->ij") == Vector("ES7"))
-    assert(Einsum.plan("ij,ik->jk") == Vector("ES8"))
-    assert(Einsum.plan("ij,ik->ij") == Vector("ES9"))
-  }
-
-  test("composite specs reduce to kernel chains") {
-    assert(Einsum.plan("ii->") == Vector("ES3", "ES1"))
-    assert(Einsum.plan("ij->") == Vector("ES2", "ES1"))
-    assert(Einsum.plan("ij,j->i") == Vector("BCAST", "ES9"))
-    assert(Einsum.plan("ij,jk->ik") == Vector("BCAST", "MM"))
   }
 
   // ------------------------------------------------------------ execution
@@ -68,8 +46,23 @@ class EinsumSpec extends SparkSpec {
 
   /** `check` the dense lowering of `spec` over `ops`: (relation, value
     * columns), where a scalar `(c0)` has 0. */
-  private def checkDense(spec: String, ops: (String, Int)*)(expected: String): Unit =
+  private def checkLowered(spec: String, ops: (String, Int)*)(expected: String): Unit =
     check(Einsum.lowerDense(spec, ops.toVector.map { case (r, n) => Einsum.DenseOp(r, n) }, new NameGen("t")), expected)
+
+  /** MiniPandas' answer to the einsum of `spec` over the named inputs. */
+  private def mini(spec: String, rels: String*): MiniPandas.Table =
+    MiniPandas.run(EinsumOp(spec, rels.toVector.map(r => Source(r, in.mini(r).schema))), in.mini)
+
+  private def checkMini(spec: String, rels: String*)(expected: String): Unit = {
+    val t = mini(spec, rels: _*)
+    Oracle.assertRowsEquivalentOn(in.duck, t.schema, t.rows.map(_.toSeq), expected)
+  }
+
+  /** `checkLowered` and `checkMini`: all three paths answer `expected`. */
+  private def checkDense(spec: String, ops: (String, Int)*)(expected: String): Unit = {
+    checkLowered(spec, ops: _*)(expected)
+    checkMini(spec, ops.map(_._1): _*)(expected)
+  }
 
   private val sumCols = (0 until Cols).map(j => s"c$j").mkString(" + ")
 
@@ -91,15 +84,22 @@ class EinsumSpec extends SparkSpec {
       s"WITH t AS (SELECT ${(0 until Cols).map(j => s"SUM(c$j) AS s$j").mkString(", ")} FROM m) $branches")
   }
 
-  test("ES3 'ii->i' diagonal matches DuckDB") {
-    checkDense("ii->i", "m" -> Cols)(
-      s"SELECT id, CASE ${(0 until Cols).map(j => s"WHEN id = $j THEN c$j").mkString(" ")} ELSE 0.0 END AS c0 " +
+  private val diagCase = (0 until Cols).map(j => s"WHEN id = $j THEN c$j").mkString(" ")
+
+  test("ES3 'ii->i' on the non-square m pins the documented deviation") {
+    // The compiled paths read 0.0 past the last column; MiniPandas raises, as NumPy does.
+    checkLowered("ii->i", "m" -> Cols)(
+      s"SELECT id, CASE $diagCase ELSE 0.0 END AS c0 " +
       s"FROM m WHERE id < $Cols UNION ALL SELECT id, 0.0 AS c0 FROM m WHERE id >= $Cols")
+    intercept[IllegalArgumentException](mini("ii->i", "m"))
+  }
+
+  test("ES3 'ii->i' diagonal of the square sq matches DuckDB") {
+    checkDense("ii->i", "sq" -> Cols)(s"SELECT id, CASE $diagCase END AS c0 FROM sq")
   }
 
   test("'ii->' trace matches DuckDB") {
-    checkDense("ii->", "sq" -> Cols)(
-      s"SELECT SUM(CASE ${(0 until Cols).map(j => s"WHEN id = $j THEN c$j").mkString(" ")} END) AS c0 FROM sq")
+    checkDense("ii->", "sq" -> Cols)(s"SELECT SUM(CASE $diagCase END) AS c0 FROM sq")
   }
 
   test("ES5 ',->' scalar product matches DuckDB") {
@@ -147,11 +147,35 @@ class EinsumSpec extends SparkSpec {
     checkDense("ij,j->i", "m" -> Cols, "v2" -> 1)(s"SELECT id, $dot AS c0 FROM m")
   }
 
-  test("'ij,jk->ik' matmul (broadcast right operand) matches DuckDB") {
+  /** The reference for `m` times the right operand `r` with `Cols` rows. */
+  private def matMulSql(r: String): String = {
     val dots = (0 until Cols).map { k =>
-      (0 until Cols).map(j => s"m.c$j * (SELECT c$k FROM m2 WHERE id = $j)").mkString(" + ") + s" AS c$k"
+      (0 until Cols).map(j => s"m.c$j * (SELECT c$k FROM $r WHERE id = $j)").mkString(" + ") + s" AS c$k"
     }.mkString(", ")
-    checkDense("ij,jk->ik", "m" -> Cols, "m2" -> Cols)(s"SELECT m.id AS id, $dots FROM m")
+    s"SELECT m.id AS id, $dots FROM m"
+  }
+
+  test("'ij,jk->ik' on the 64-row m2 pins the documented deviation") {
+    // The compiled paths read m2's rows 0..2 only; MiniPandas raises, as NumPy does.
+    checkLowered("ij,jk->ik", "m" -> Cols, "m2" -> Cols)(matMulSql("m2"))
+    intercept[IllegalArgumentException](mini("ij,jk->ik", "m", "m2"))
+  }
+
+  test("'ij,jk->ik' matmul m × sq (broadcast right operand) matches DuckDB") {
+    checkDense("ij,jk->ik", "m" -> Cols, "sq" -> Cols)(matMulSql("sq"))
+  }
+
+  test("MiniPandas answers the paper's worked example 'ab,cc->ba'; lowering rejects it") {
+    // (b, a) ↦ m[a][b] · trace(sq): a 3×64 result.
+    val branches = (0 until Cols).map { b =>
+      s"SELECT $b AS id, " +
+      (0 until Rows.toInt).map(a => s"SUM(CASE WHEN m.id = $a THEN m.c$b * tr.t END) AS c$a").mkString(", ") +
+      " FROM m, tr"
+    }.mkString(" UNION ALL ")
+    checkMini("ab,cc->ba", "m", "sq")(s"WITH tr AS (SELECT SUM(CASE $diagCase END) AS t FROM sq) $branches")
+    intercept[RuntimeException] {
+      Einsum.lowerDense("ab,cc->ba", Vector(Einsum.DenseOp("m", Cols), Einsum.DenseOp("sq", Cols)), new NameGen("t"))
+    }
   }
 
   test("generic sparse einsum 'ij,ji->' (trace of product) matches DuckDB") {
@@ -173,6 +197,18 @@ class EinsumSpec extends SparkSpec {
     // NumPy rejects a repeated output index.
     intercept[RuntimeException] {
       Einsum.lowerDense("i,i->ii", Vector(Einsum.DenseOp("vv", 1), Einsum.DenseOp("vv", 1)), ng)
+    }
+    // Widths that disagree, and an order that does not match the spec: the
+    // products used to zip the columns and drop the extra ones.
+    intercept[IllegalArgumentException] {
+      Einsum.lowerDense("ij,ij->ij", Vector(Einsum.DenseOp("m", 3), Einsum.DenseOp("m2", 2)), ng)
+    }
+    intercept[IllegalArgumentException] {
+      Einsum.lowerDense("i,i->", Vector(Einsum.DenseOp("m", 3), Einsum.DenseOp("vv", 1)), ng)
+    }
+    // One operand for two inputs.
+    intercept[IllegalArgumentException] {
+      Einsum.lowerDense(",->", Vector(Einsum.DenseOp("s1", 0)), ng)
     }
   }
 }
