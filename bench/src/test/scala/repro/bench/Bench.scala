@@ -4,7 +4,7 @@ import java.io.File
 import java.nio.file.Files
 import org.apache.commons.io.FileUtils
 import org.apache.spark.sql.DataFrame
-import repro.{EnginePath, InputSet, Oracle, Prog, SparkSpec, TestData}
+import repro.{EnginePath, InputSet, Prog, SparkSpec, TestData}
 import repro.TestData.{duckSql, miniPandas, sparkGen, sparkSql}
 import repro.data.{NotebookData, TpchData}
 
@@ -16,10 +16,9 @@ import repro.data.{NotebookData, TpchData}
   * fresh temporary directory — Spark reads them as files (a fair cold-ish
   * scan, and it sidesteps cached-plan interference) and DuckDB loads them
   * through `Oracle.loadTable`. Programs run on the engine paths of
-  * `TestData.paths`, each against its own catalog, and the answer of every
-  * measurement is checked against the program's reference SQL. The DuckDB
-  * thread count is set per measurement (`SET threads TO n`), which provides
-  * the paper's 1..4-thread sweeps.
+  * `TestData.paths`, and each path judges the answer it timed, as in the
+  * test suites. The DuckDB thread count is set per measurement (`SET
+  * threads TO n`), which provides the paper's 1..4-thread sweeps.
   *
   * Timing: `best of iters` after `warmup` warm-up rounds, reported in ms
   * (the paper reports the mean of 5 rounds after 5 warm-ups at SF=1; we
@@ -55,29 +54,18 @@ object Bench {
   def program(id: String): Prog = TestData.programs.find(_.id == id).get
 
   // ------------------------------------------------------------- measuring
-  def timeMs(f: => Unit): Double = {
-    val t0 = System.nanoTime(); f; (System.nanoTime() - t0) / 1e6
-  }
-
-  /** Best-of-N timing after warm-ups. */
-  def bench(f: => Unit): Double = {
-    (1 to Warmup).foreach(_ => f)
-    (1 to Iters).map(_ => timeMs(f)).min
-  }
-
-  /** Best time of `p` at `level` on `path` over `in`, with DuckDB at
-    * `threads` threads. The path's setup is not timed, and the last answer
-    * is checked against the reference SQL. DuckDB runs are cheap but sit
-    * inside a JVM running Spark, so they take extra rounds to shake off
-    * GC/scheduler noise. */
+  /** Best time in ms of `p` at `level` on `path` over `in`, with DuckDB at
+    * `threads` threads. The path's setup is not timed, and the path judges
+    * the last answer. DuckDB runs are cheap but sit inside a JVM running
+    * Spark, so they take extra rounds to shake off GC/scheduler noise. */
   def time(path: EnginePath, p: Prog, level: Int, threads: Int = 4, in: InputSet = inputs): Double = {
     in.duck.createStatement.execute(s"SET threads TO $threads")
     val call = path.setup(p, level, in)
-    var ans = (Seq.empty[String], Seq.empty[Seq[Any]])
+    var ans: EnginePath.Answer = null
     val (warmup, iters) = if (path eq duckSql) (math.max(Warmup, 2), math.max(Iters, 5)) else (Warmup, Iters)
     (1 to warmup).foreach(_ => ans = call())
-    val best = (1 to iters).map(_ => timeMs { ans = call() }).min
-    Oracle.assertRowsEquivalentOn(in.duck, ans._1, ans._2, p.refSql)
+    val best = (1 to iters).map { _ => val t0 = System.nanoTime(); ans = call(); (System.nanoTime() - t0) / 1e6 }.min
+    path.judge(p, level, in, ans)
     best
   }
 

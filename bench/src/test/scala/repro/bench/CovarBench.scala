@@ -3,7 +3,6 @@ package repro.bench
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{InputSet, Prog}
 import repro.TestData.{duckSql, miniPandas, sparkGen}
-import repro.core.{SparkGen, SqlGen}
 import repro.data.NotebookData
 import repro.workloads.CovarMicro
 
@@ -35,26 +34,17 @@ class CovarBench extends AnyFunSuite {
     test(s"covariance $sweep rows=$rows cols=$cols density=$density") {
       val cat = CovarMicro.catalogFor(cols)
       // materialized once (Parquet) so every engine reads identical bytes;
-      // two input sets, so MiniNumPy collects only the dense table
-      val in = new InputSet(parquet(Map("m" -> NotebookData.matrixDense(spark, rows, cols, density))))
-      val coo = new InputSet(parquet(Map("m_coo" -> NotebookData.matrixCoo(spark, rows, cols, density))))
-      val dense = Prog("CovarDense", cat, CovarMicro.denseDf(cols), CovarMicro.denseRefSql(cols))
-      val conns = Seq(in.duck, coo.duck)
-      try {
-        val numpy      = time(miniPandas, dense, 0, in = in)
-        val duckDense  = time(duckSql, dense, 4, in = in)
-        val sparkDense = time(sparkGen, dense, 4, in = in)
-
-        coo.duck.createStatement.execute("SET threads TO 4")
-        val sparseSql = SqlGen.programSql(CovarMicro.sparseProgram(), cat, SqlGen.DuckDialect)
-        val duckSparse = bench {
-          val rs = coo.duck.createStatement.executeQuery(sparseSql); while (rs.next()) {}; rs.close()
-        }
-        val sparkSparse = bench { SparkGen.compile(CovarMicro.sparseProgram(), coo.tables, cat, spark).collect() }
-
-        record("covar", header, Seq(sweep, rows, cols, density,
-          numpy, duckDense, duckSparse, sparkDense, sparkSparse))
-      } finally conns.foreach(_.close())
+      // MiniNumPy collects only the dense table it reads, and the sparse
+      // answer is checked against the dense table
+      val in = new InputSet(parquet(Map(
+        "m"     -> NotebookData.matrixDense(spark, rows, cols, density),
+        "m_coo" -> NotebookData.matrixCoo(spark, rows, cols, density))))
+      val dense = Prog("CovarDense", cat, Right(CovarMicro.denseDf(cols)), CovarMicro.denseRefSql(cols))
+      val sparse = Prog("CovarSparse", cat, Left(CovarMicro.sparseProgram()), CovarMicro.sparseRefSql(cols))
+      try record("covar", header, Seq(sweep, rows, cols, density,
+        time(miniPandas, dense, 0, in = in), time(duckSql, dense, 4, in = in), time(duckSql, sparse, 0, in = in),
+        time(sparkGen, dense, 4, in = in), time(sparkGen, sparse, 0, in = in)))
+      finally in.duck.close()
     }
   }
 }

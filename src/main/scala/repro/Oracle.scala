@@ -11,10 +11,8 @@ import org.apache.spark.sql.types._
   *
   * ``assertRowsEquivalentOn(conn, cols, rows, sql)`` runs ``sql`` on DuckDB
   * (via JDBC, in-process) over the tables loaded into ``conn`` and asserts
-  * the rows match; ``assertEquivalentOn`` (a Spark result) and
-  * ``assertSqlEquivalent`` (a second SQL statement) go through it. This
-  * catches wrong results from a rewritten plan or a custom operator — "it
-  * ran" is not "it is correct".
+  * the rows match. This catches wrong results from a rewritten plan or a
+  * custom operator — "it ran" is not "it is correct".
   *
   * Extensions over the stock oracle (documented in DESIGN.md):
   *  - tables are created with types derived from the Spark schema (so
@@ -115,17 +113,6 @@ object Oracle {
       .map(r => Row.fromSeq((1 to cols.size).map(r.getObject))).toSeq
     (cols, rows)
   }
-
-  /** Assert two SQL statements produce equivalent results on the same
-    * (pre-loaded) DuckDB connection. */
-  def assertSqlEquivalent(conn: Connection, sqlA: String, sqlB: String): Unit = {
-    val (cols, rows) = query(conn, sqlA)
-    assertRowsEquivalentOn(conn, cols, rows.map(_.toSeq), sqlB)
-  }
-
-  /** Assert a Spark result matches reference SQL on a pre-loaded connection. */
-  def assertEquivalentOn(conn: Connection, sparkDf: DataFrame, sql: String): Unit =
-    assertRowsEquivalentOn(conn, sparkDf.columns.toSeq, sparkDf.collect().toSeq.map(_.toSeq), sql)
 
   /** Assert result rows (columns, rows) match reference SQL results on a
     * pre-loaded connection — the one comparator behind every assertion. */

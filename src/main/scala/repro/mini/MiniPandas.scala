@@ -88,11 +88,8 @@ object MiniPandas {
       op match {
         case "+" => arith(a, b, _ + _); case "-" => arith(a, b, _ - _)
         case "*" => arith(a, b, _ * _); case "/" => num(a) / num(b)
-        case "=" => equalish(a, b);     case "<>" => !equalish(a, b)
-        case "<" => cmp2(a, b) < 0;     case "<=" => cmp2(a, b) <= 0
-        case ">" => cmp2(a, b) > 0;     case ">=" => cmp2(a, b) >= 0
         case "and" => truthy(a) && truthy(b); case "or" => truthy(a) || truthy(b)
-        case x => sys.error(s"mini: op $x")
+        case _ => compare(op, a, b)
       }
   }
 
@@ -100,13 +97,17 @@ object MiniPandas {
     case (x: Long, y: Long) => f(x.toDouble, y.toDouble).toLong
     case _                  => f(num(a), num(b))
   }
-  private def cmp2(a: Any, b: Any): Int =
-    if (a == null || b == null) Int.MaxValue // null comparisons are never true
-    else cmp(a, b)
-  private def equalish(a: Any, b: Any): Boolean =
-    if (a == null || b == null) false
-    else if (isNum(a) && isNum(b)) num(a) == num(b)
-    else String.valueOf(a) == String.valueOf(b)
+  /** `a op b` for a comparison `op`, in filters and semi-join conditions
+    * alike; a comparison with NULL is never true, as in a SQL WHERE. */
+  private def compare(op: String, a: Any, b: Any): Boolean = op match {
+    case "=" | "<>" | "<" | "<=" | ">" | ">=" if a == null || b == null => false
+    case "=" => equal(a, b);     case "<>" => !equal(a, b)
+    case "<" => cmp(a, b) < 0;   case "<=" => cmp(a, b) <= 0
+    case ">" => cmp(a, b) > 0;   case ">=" => cmp(a, b) >= 0
+    case x => sys.error(s"mini: op $x")
+  }
+  private def equal(a: Any, b: Any): Boolean =
+    if (isNum(a) && isNum(b)) num(a) == num(b) else String.valueOf(a) == String.valueOf(b)
   private def truthy(v: Any): Boolean = v match {
     case b: Boolean => b; case null => false; case x => num(x) != 0.0 }
 
@@ -202,13 +203,7 @@ object MiniPandas {
         val index = rt.rows.groupBy(b => rk.map(i => keyOf(b(i))))
         val keep = lt.rows.filter { a =>
           val matches = index.getOrElse(lk.map(i => keyOf(a(i))), Vector.empty)
-          val hit = matches.exists(b => neqIx.forall { case (op, li, ri) =>
-            op match {
-              case "<>" => !equalish(a(li), b(ri)); case "=" => equalish(a(li), b(ri))
-              case "<" => cmp2(a(li), b(ri)) < 0;   case ">" => cmp2(a(li), b(ri)) > 0
-              case "<=" => cmp2(a(li), b(ri)) <= 0; case ">=" => cmp2(a(li), b(ri)) >= 0
-              case x => sys.error(s"mini semijoin op $x")
-            }})
+          val hit = matches.exists(b => neqIx.forall { case (op, li, ri) => compare(op, a(li), b(ri)) })
           if (negated) !hit else hit
         }
         Table(lt.schema, keep)

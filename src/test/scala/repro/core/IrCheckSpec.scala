@@ -2,7 +2,6 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Prog, TestData}
-import repro.frontend.Lower
 import TondIR._
 
 /** Every workload program is well formed (see [[IrCheck]]) after lowering
@@ -20,13 +19,13 @@ class IrCheckSpec extends AnyFunSuite {
     (1, "localDce", Optimizer.localDce(_: Program)),
     (1, "globalDce", Optimizer.globalDce))
 
-  for (Prog(name, cat, df, _) <- TestData.programs)
+  for (prog @ Prog(name, cat, _, _) <- TestData.programs)
     test(s"$name: well formed after Lower and O1–O4, each level a fixpoint of its step") {
       def check(p: Program, where: String): Unit = {
         val bad = IrCheck.violations(p, cat)
         assert(bad.isEmpty, s"$where: ${bad.mkString("; ")}\n${show(p)}")
       }
-      val ir = Lower.lower(df, cat)
+      val ir = prog.compile(0)
       check(ir, "after Lower")
       var prev = ir
       for (level <- 1 to 4) {

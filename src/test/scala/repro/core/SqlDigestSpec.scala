@@ -4,7 +4,6 @@ import java.nio.charset.StandardCharsets.UTF_8
 import java.nio.file.{Files, Paths}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Prog, TestData}
-import repro.frontend.Lower
 
 /** Pinned compiler output: one SHA-256 per (program, level O0–O4, kind) for
   * all 30 workload programs, where the kind is the IR (`TondIR.show`), the
@@ -20,8 +19,8 @@ object SqlDigests {
 
   /** (program, level, kind) → digest, in a fixed order. */
   def compute(): Vector[((String, Int, String), String)] = for {
-    Prog(name, cat, df, _) <- TestData.programs
-    ir = Lower.lower(df, cat)
+    p @ Prog(name, cat, _, _) <- TestData.programs
+    ir = p.compile(0)
     level <- (0 to 4).toVector
     opt = Optimizer.optimize(ir, cat, level)
     (kind, text) <- Vector("ir" -> TondIR.show(opt),

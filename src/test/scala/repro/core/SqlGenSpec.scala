@@ -2,16 +2,17 @@ package repro.core
 
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.types._
-import repro.{InputSet, Oracle, SparkSpec}
+import repro.{EnginePath, InputSet, Prog, SparkSpec, TestData}
+import repro.TestData.{duckSql, miniPandas, sparkGen}
 import repro.frontend.Dsl
-import repro.mini.MiniPandas
 import TondIR._
 
 /** Feature-level tests of both body emitters over tiny inline tables: each
-  * program is emitted as DuckDB SQL by SqlGen and as a Catalyst plan by
-  * SparkGen, and both results are checked against the same expected SQL on
-  * DuckDB (§III-E: CTE chaining, sort/limit placement, UID windows, VALUES
-  * relations, exists at any depth, outer joins, dialect quirks). */
+  * program runs through `TestData`'s paths as SqlGen's DuckDB SQL and as
+  * SparkGen's Catalyst plan, and both answers are checked against the same
+  * expected SQL on DuckDB (§III-E: CTE chaining, sort/limit placement, UID
+  * windows, VALUES relations, exists at any depth, outer joins, dialect
+  * quirks). The last tests check the answer check itself. */
 class SqlGenSpec extends SparkSpec {
 
   private val cat = Catalog.empty
@@ -28,36 +29,23 @@ class SqlGenSpec extends SparkSpec {
     spark.createDataFrame(spark.sparkContext.parallelize(rows, 1),
       StructType(cols.map { case (n, t) => StructField(n, t) }))
 
-
-  /** Check SqlGen's DuckDB SQL and SparkGen's plan against `expected`. */
-  private def run(p: Program, expected: String): Unit = {
-    Oracle.assertSqlEquivalent(in.duck, SqlGen.programSql(p, cat, SqlGen.DuckDialect), expected)
-    Oracle.assertEquivalentOn(in.duck, SparkGen.compile(p, in.tables, cat, spark), expected)
-  }
-
-  /** `run` on `p` optimized at each of `levels`; a failure names its level. */
-  private def runAt(levels: Seq[Int], p: Program, expected: String): Unit =
-    for (level <- levels)
-      try run(Optimizer.optimize(p, cat, level), expected)
-      catch { case e: Exception => fail(s"at O$level: ${e.getMessage}", e) }
+  /** Check `p` at each of `levels` on SqlGen's DuckDB SQL and SparkGen's plan against `expected`. */
+  private def run(p: Program, expected: String, levels: Seq[Int] = Seq(0)): Unit =
+    for (path <- Seq(duckSql, sparkGen); level <- levels) path.check(Prog("ir", cat, Left(p), expected), level, in)
 
   /** Check the DSL program `df` on DuckDB SQL at O0–O4 and on MiniPandas. */
-  private def runDsl(df: Dsl.Df, expected: String): Unit = {
-    for (level <- 0 to 4)
-      try Oracle.assertSqlEquivalent(in.duck, Pipeline.toSql(df, cat, SqlGen.DuckDialect, level), expected)
-      catch { case e: Exception => fail(s"at O$level: ${e.getMessage}", e) }
-    val t = MiniPandas.run(df, in.mini)
-    Oracle.assertRowsEquivalentOn(in.duck, t.schema, t.rows.map(_.toSeq), expected)
-  }
+  private def runDsl(df: Dsl.Df, expected: String): Unit =
+    TestData.check(Prog("dsl", cat, Right(df), expected), in, Seq(duckSql, miniPandas))
 
   private def v(n: String) = TVar(n)
 
+  private val filterDouble = Program(Vector(Rule(Head("r", Vector("k" -> v("k"), "d" -> v("d"))),
+    Vector(RelAtom("t", Vector("k", "s", "x")),
+           PredAtom(TBin(">", v("x"), TConst(15.0))),
+           AssignAtom("d", TBin("*", v("x"), TConst(2.0)))))), "r")
+
   test("single rule: filter + computed column") {
-    val r = Rule(Head("r", Vector("k" -> v("k"), "d" -> v("d"))),
-      Vector(RelAtom("t", Vector("k", "s", "x")),
-             PredAtom(TBin(">", v("x"), TConst(15.0))),
-             AssignAtom("d", TBin("*", v("x"), TConst(2.0)))))
-    run(Program(Vector(r), "r"), "SELECT k, x*2 AS d FROM t WHERE x > 15")
+    run(filterDouble, "SELECT k, x*2 AS d FROM t WHERE x > 15")
   }
 
   test("CTE chain: each non-final rule becomes a WITH clause") {
@@ -87,11 +75,12 @@ class SqlGenSpec extends SparkSpec {
       "SELECT s, SUM(x) AS tot FROM t GROUP BY s HAVING SUM(x) > 15")
   }
 
+  private val top2 = Program(Vector(Rule(Head("r", Vector("k" -> v("k"), "x" -> v("x")),
+                                              sort = Vector(("x", false)), limit = Some(2)),
+    Vector(RelAtom("t", Vector("k", "s", "x"))))), "r")
+
   test("sort + limit live in the final SELECT (not a CTE)") {
-    val r = Rule(Head("r", Vector("k" -> v("k"), "x" -> v("x")),
-                      sort = Vector(("x", false)), limit = Some(2)),
-      Vector(RelAtom("t", Vector("k", "s", "x"))))
-    run(Program(Vector(r), "r"), "SELECT k, x FROM t ORDER BY x DESC LIMIT 2")
+    run(top2, "SELECT k, x FROM t ORDER BY x DESC LIMIT 2")
   }
 
   test("distinct head flag") {
@@ -217,7 +206,7 @@ class SqlGenSpec extends SparkSpec {
       Rule(Head("P", Vector("k2" -> TBin("+", v("k"), TConst(1L)))), Vector(tk)),
       Rule(Head("r", Vector("k2" -> v("k2"), "y" -> v("y"))),
            Vector(RelAtom("P", Vector("k2")), RelAtom("u", Vector("k2", "y"))))), "r")
-    runAt(Seq(0, 4), p, "SELECT t.k + 1 AS k2, y FROM t JOIN u ON t.k + 1 = u.k")
+    run(p, "SELECT t.k + 1 AS k2, y FROM t JOIN u ON t.k + 1 = u.k", Seq(0, 4))
   }
 
   test("a join with a VALUES relation survives global DCE at O0–O4") {
@@ -226,15 +215,14 @@ class SqlGenSpec extends SparkSpec {
       Rule(Head("P", Vector("k" -> v("k"), "s" -> v("s"))), Vector(tk)),
       Rule(Head("r", Vector("k2" -> v("k2"))),
            Vector(RelAtom("P", Vector("k2", "s2")), ConstAtom(Vector("s2"), Vector(Vector(TConst("a"))))))), "r")
-    runAt(0 to 4, p, "SELECT k AS k2 FROM t WHERE s = 'a'")
+    run(p, "SELECT k AS k2 FROM t WHERE s = 'a'", 0 to 4)
   }
 
   test("a variable two levels out: correlated SQL, a named SparkGen error") {
     val inner = ExistsAtom(Vector(RelAtom("u", Vector("j", "y2")), PredAtom(TBin(">", TBin("*", v("y2"), TConst(2.0)), v("x")))))
     val p = existsRule(ExistsAtom(Vector(RelAtom("u", Vector("k", "y")), inner)))
-    Oracle.assertSqlEquivalent(in.duck, SqlGen.programSql(p, cat, SqlGen.DuckDialect),
-      "SELECT k FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.k = t.k AND " +
-      "EXISTS (SELECT 1 FROM u u2 WHERE u2.y * 2 > t.x))")
+    duckSql.check(Prog("ir", cat, Left(p), "SELECT k FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.k = t.k AND " +
+      "EXISTS (SELECT 1 FROM u u2 WHERE u2.y * 2 > t.x))"), 0, in)
     val e = intercept[RuntimeException](SparkGen.compile(p, in.tables, cat, spark))
     assert(e.getMessage.contains("x is bound two levels out"), e.getMessage)
   }
@@ -247,8 +235,8 @@ class SqlGenSpec extends SparkSpec {
            Vector(tk, AssignAtom("id", TExt("uid", Seq(v("x")))))),
       Rule(Head("r", Vector("id2" -> v("id2"), "x2" -> v("x2"))),
            Vector(RelAtom("P", Vector("id2", "k2", "x2")), PredAtom(TBin(">", v("x2"), TConst(15.0)))))), "r")
-    runAt(0 to 4, p,
-      "SELECT id AS id2, x AS x2 FROM (SELECT ROW_NUMBER() OVER (ORDER BY x) - 1 AS id, x FROM t) WHERE x > 15")
+    run(p, "SELECT id AS id2, x AS x2 FROM (SELECT ROW_NUMBER() OVER (ORDER BY x) - 1 AS id, x FROM t) WHERE x > 15",
+      0 to 4)
   }
 
   test("toMatrix numbers the rows before a later filter (O0–O4, MiniPandas)") {
@@ -260,5 +248,21 @@ class SqlGenSpec extends SparkSpec {
     runDsl(Dsl.table("t")(cat).select("x").alignWith(Dsl.table("u")(cat).select("y")),
       "SELECT x, y FROM (SELECT x, ROW_NUMBER() OVER (ORDER BY x) AS n FROM t) a " +
       "JOIN (SELECT y, ROW_NUMBER() OVER (ORDER BY y) AS n FROM u) b ON a.n = b.n")
+  }
+
+  // -------------------------------------------------- the answer check itself
+  test("the answer check rejects a sorted answer in the wrong order") {
+    def reverse(a: EnginePath.Answer) = (a._1, a._2.reverse)
+    val reversed = duckSql.copy(setup = (p, l, in) => { val run = duckSql.setup(p, l, in); () => reverse(run()) })
+    val top = Prog("top2", cat, Left(top2), "SELECT k, x FROM t WHERE x > 25")
+    val e = intercept[AssertionError](reversed.check(top, 0, in))
+    assert(e.getMessage.startsWith("generated DuckDB SQL (O0): rows 0 and 1 are out of the order x DESC"), e.getMessage)
+  }
+
+  test("a wrong answer names the path and level and prints the compiled program and SQL") {
+    val wrong = Prog("wrong", cat, Left(filterDouble), "SELECT k, x * 3 AS d FROM t WHERE x > 15")
+    val e = intercept[AssertionError](duckSql.check(wrong, 2, in))
+    for (part <- Seq("generated DuckDB SQL (O2): result mismatch", "r(k, d) :- t(k, s, x)", "SELECT"))
+      assert(e.getMessage.contains(part), e.getMessage)
   }
 }

@@ -28,6 +28,12 @@ object MiniProps extends Properties("MiniPandas") {
     lt != ge
   }
 
+  property("a comparison with NULL is never true, as in SQL") = Prop.forAll(numGen) { x =>
+    val r: Array[Any] = Array(x, null, "")
+    Seq("=", "<>", "<", "<=", ">", ">=").forall(op =>
+      ev(PBin(op, col("a"), col("b")), r) == false && ev(PBin(op, col("b"), col("a")), r) == false)
+  }
+
   property("if-then-else selects by condition") = Prop.forAll(numGen, numGen) { (x, y) =>
     val r = row(x, y, "")
     val out = ev(PIf(col("a") > col("b"), lit(1), lit(0)), r)
