@@ -5,26 +5,30 @@ import TondIR._
 
 /** TondIR optimizer (§IV).
   *
-  * Five passes, stacked exactly as in the paper's Fig. 10 breakdown:
+  * Four levels, one per bar of the paper's Fig. 10 breakdown, each adding a
+  * pass to the one below:
   *
   *  - '''O1''' local + global dead-code elimination
   *  - '''O2''' O1 + group-aggregate elimination
   *  - '''O3''' O2 + self-join elimination
   *  - '''O4''' O3 + rule inlining (flow breakers per Table VII)
   *
+  * Each of O1..O3 is the fixpoint of its own step, run from the lowered
+  * program; O4 is the fixpoint of its step run from the inlined O3 program.
   * Level O0 is the identity — the "Grizzly-simulated" baseline of §V-A,
   * i.e. PyTond's translation output before any optimization.
   *
   * Every pass is one linear sweep over the program: the analyses it needs
   * (variable reference counts, used head positions, access counts, unique
   * columns) are computed once per call, never by rescanning all rules per
-  * rule.
+  * rule. A pass returns a rule it does not change, and a program none of
+  * whose rules it changes, as it was given.
   */
 object Optimizer {
 
   def optimize(p: Program, cat: Catalog, level: Int): Program = level match {
     case 0         => p
-    case 1 | 2 | 3 => fix(optimize(p, cat, level - 1), s"O$level")(step(level, cat))
+    case 1 | 2 | 3 => fix(p, s"O$level")(step(level, cat))
     case 4         => fix(inlineRules(optimize(p, cat, 3)), "O4")(step(4, cat))
     case n         => sys.error(s"optimizer: unknown level $n")
   }
@@ -48,18 +52,44 @@ object Optimizer {
     sys.error(s"optimizer: pass $pass did not converge in 10 steps; last program:\n${show(cur)}")
   }
 
+  /** `p` with `f` applied to each rule; `p` itself if `f` returns every rule as it was. */
+  private def mapRules(p: Program)(f: Rule => Rule): Program = {
+    var out: Array[Rule] = null
+    for (i <- p.rules.indices) {
+      val r = p.rules(i)
+      val next = f(r)
+      if ((out eq null) && !(next eq r)) out = p.rules.toArray
+      if (out ne null) out(i) = next
+    }
+    if (out eq null) p else p.copy(rules = out.toVector)
+  }
+
+  /** The one top-level relation atom of `r`'s body, if it has exactly one
+    * and no VALUES atom of more than one row (which would repeat each of its
+    * rows): the body's rows are then that relation's rows. */
+  private def soleRelAtom(r: Rule): Option[RelAtom] = {
+    var sole: Option[RelAtom] = None
+    var n = 0
+    r.body.foreach {
+      case ra: RelAtom                         => sole = Some(ra); n += 1
+      case ConstAtom(_, rows) if rows.size > 1 => n += 2
+      case _                                   =>
+    }
+    if (n == 1) sole else None
+  }
+
   // ------------------------------------------------- local DCE (per rule)
   /** Remove assignments whose variable is referenced nowhere in the rule
     * (not in the head, group, other atoms, or other live assignments). */
-  def localDce(p: Program): Program = p.copy(rules = p.rules.map(localDce))
+  def localDce(p: Program): Program = mapRules(p)(localDce)
 
   /** References are counted once. Removing a var's assignments (all of them
     * together) releases the vars of their terms, and a var whose count drops
     * to zero is removed in turn. */
   def localDce(r: Rule): Rule = {
+    if (!r.body.exists(_.isInstanceOf[AssignAtom])) return r
     val assigned = mutable.HashMap[String, List[Term]]()
     r.body.foreach { case AssignAtom(v, t) => assigned(v) = t :: assigned.getOrElse(v, Nil); case _ => }
-    if (assigned.isEmpty) return r
     val refs = mutable.HashMap[String, Int]()
     val ref: String => Unit = v => refs(v) = refs.getOrElse(v, 0) + 1
     r.head.cols.foreach(_._2.foreachVar(ref))
@@ -143,9 +173,11 @@ object Optimizer {
   // ---------------------------------------------- group-aggregate elimination
   /** If a rule groups by a column known to be unique (PK / UID / previous
     * group key), the grouping is a no-op: drop `group` and unwrap every
-    * aggregate (`sum/min/max/avg(t) → t`, `count(*) → 1`). */
+    * aggregate (`sum/min/max/avg(t) → t`, `count(*) → 1`). The rule's body
+    * must read that column's relation alone (see `soleRelAtom`), with no
+    * outer join and no `exists`. */
   def groupAggElim(p: Program, cat: Catalog): Program = {
-    lazy val uniq = uniqueColumns(p, cat)
+    lazy val unique = uniqueColumns(p, cat)
     def unwrap(t: Term): Term = t match {
       case TAgg("count", _, false) => TConst(1L)
       case TAgg(_, a, _)           => unwrap(a)
@@ -154,44 +186,40 @@ object Optimizer {
       case TExt(f, as)             => TExt(f, as.map(unwrap))
       case x                       => x
     }
-    p.copy(rules = p.rules.map { r =>
-      val groupUnique = r.head.group.nonEmpty && r.relAtoms.size == 1 && !r.hasOuter &&
-        !r.body.exists(_.isInstanceOf[ExistsAtom]) && {
-          val ra = r.relAtoms.head
-          r.head.group.exists(g => uniq.getOrElse(ra.rel, Set.empty).contains(ra.vars.indexOf(g)))
-        }
+    mapRules(p) { r =>
+      val groupUnique = r.head.group.nonEmpty && !r.body.exists(_.isInstanceOf[ExistsAtom]) &&
+        soleRelAtom(r).exists(ra => ra.outerOn.isEmpty && r.head.group.exists(g => unique(ra.rel, ra.vars.indexOf(g))))
       if (!groupUnique) r
       else r.copy(
         head = r.head.copy(group = Vector.empty, cols = r.head.cols.map { case (n, t) => n -> unwrap(t) }),
         body = r.body.map { case AssignAtom(v, t) => AssignAtom(v, unwrap(t)); case a => a })
-    })
+    }
   }
 
-  /** Unique column positions per relation: catalog keys for the base tables
-    * the program reads, propagated through rule heads (group keys are unique
-    * in the result; a bare projection of a unique column stays unique; UID()
-    * is unique). */
-  def uniqueColumns(p: Program, cat: Catalog): Map[String, Set[Int]] = {
-    val m = mutable.HashMap[String, Set[Int]]()
-    for (r <- p.rules) {
-      val ras = r.relAtoms
-      for (ra <- ras if !m.contains(ra.rel); cols <- cat.schemas.get(ra.rel)) {
-        val u = cat.uniqueCols.getOrElse(ra.rel, Set.empty[String])
-        m(ra.rel) = cols.indices.filter(i => u(cols(i))).toSet
-      }
-      val assignOf = r.assigns.map(a => a.v -> a.t).toMap
-      val bodyUnique: Set[String] = if (ras.size != 1) Set.empty else {
-        val u = m.getOrElse(ras.head.rel, Set.empty[Int])
-        ras.head.vars.indices.filter(u).map(ras.head.vars).toSet
-      }
-      m(r.head.rel) = r.head.cols.zipWithIndex.collect {
-        case ((_, TVar(v)), i)
-          if (r.head.group.size == 1 && r.head.group.head == v) ||
-             (r.head.group.isEmpty && bodyUnique.contains(v)) ||
-             assignOf.get(v).exists { case TExt("uid", _) => true; case _ => false } => i
-      }.toSet
+  /** Unique column positions: `uniqueColumns(p, cat)(rel, k)` is true iff
+    * column `k` of `rel` is known to be unique. A base table's are its
+    * catalog keys. A rule's head column is unique if it is the rule's only
+    * group key, if the rule does not group and the column passes through a
+    * unique column of the body's sole relation atom (see `soleRelAtom`), or
+    * if it is assigned UID(). */
+  def uniqueColumns(p: Program, cat: Catalog): (String, Int) => Boolean = {
+    val derived = mutable.HashMap[String, Set[Int]]()
+    def unique(rel: String, k: Int): Boolean = derived.get(rel) match {
+      case Some(u) => u(k)
+      case None    => cat.schemas.get(rel).exists(cols =>
+        k >= 0 && k < cols.size && cat.uniqueCols.get(rel).exists(_(cols(k))))
     }
-    m.toMap
+    for (r <- p.rules) {
+      val h = r.head
+      lazy val sole = if (h.group.isEmpty) soleRelAtom(r) else None
+      def uniqueVar(v: String): Boolean =
+        (h.group.size == 1 && h.group.head == v) ||
+          sole.exists(ra => ra.vars.indices.exists(k => ra.vars(k) == v && unique(ra.rel, k))) ||
+          r.body.findLast { case AssignAtom(`v`, _) => true; case _ => false }
+            .exists { case AssignAtom(_, TExt("uid", _)) => true; case _ => false }
+      derived(h.rel) = h.cols.indices.filter(i => h.cols(i)._2 match { case TVar(v) => uniqueVar(v); case _ => false }).toSet
+    }
+    unique
   }
 
   // -------------------------------------------------- self-join elimination
@@ -199,8 +227,8 @@ object Optimizer {
     * joined on a unique column and neither is otherwise constrained: all
     * information of the second access is available from the first. */
   def selfJoinElim(p: Program, cat: Catalog): Program = {
-    lazy val uniq = uniqueColumns(p, cat)
-    p.copy(rules = p.rules.map { r =>
+    lazy val unique = uniqueColumns(p, cat)
+    mapRules(p) { r =>
       val atoms = r.relAtoms
       var body = r.body
       var subst = Map.empty[String, String]
@@ -208,7 +236,7 @@ object Optimizer {
         val (a, b) = (atoms(i), atoms(j))
         if (a.rel == b.rel && a.outerOn.isEmpty && b.outerOn.isEmpty && body.contains(b)) {
           val joinPos = a.vars.zip(b.vars).zipWithIndex.collect { case ((x, y), k) if x == y => k }
-          if (joinPos.exists(k => uniq.getOrElse(a.rel, Set.empty).contains(k))) {
+          if (joinPos.exists(unique(a.rel, _))) {
             // substitute b's vars by a's, remove b
             subst = subst ++ b.vars.zip(a.vars).filter { case (x, y) => x != y }.toMap
             body = body.filterNot(_ eq b)
@@ -221,7 +249,7 @@ object Optimizer {
         Rule(r.head.copy(cols = r.head.cols.map { case (n, t) => n -> t.rename(f) }, group = r.head.group.map(f)),
              body.map(_.rename(f)))
       }
-    })
+    }
   }
 
   // ----------------------------------------------------------- rule inlining
@@ -272,37 +300,52 @@ object Optimizer {
     else p.copy(rules = rules.indices.collect { case i if !spliced(i) => rules(i) }.toVector)
   }
 
-  /** Replace every access to `prod.head.rel` inside `cons` by `prod`'s body
+  /** Replace the one access to `prod.head.rel` inside `cons` by `prod`'s body
     * (with renamed variables). A computed head column becomes an assignment
     * to the consumer's var, or an equality where that var is a join variable
     * of its level (a join on a computed column; an assignment there would be
-    * shadowed). */
+    * shadowed). Only the body levels on the way to the access are rebuilt. */
   private def spliceInto(cons: Rule, prod: Rule, ng: NameGen): Rule = {
-    def splice(s: Scope): Vector[Atom] = s.atoms.flatMap {
-      case RelAtom(rel, vars, outer) if rel == prod.head.rel =>
-        require(outer.isEmpty, "cannot inline into outer-join access")
-        // Build renaming: producer's head col i ↦ consumer var at position i.
-        var ren = Map.empty[String, String]
-        val extra = mutable.ArrayBuffer[Atom]()
-        prod.head.cols.zipWithIndex.foreach {
-          case ((_, TVar(v)), i) =>
-            ren.get(v) match {
-              case Some(prev) if prev != vars(i) =>
-                // same producer var exported twice — equate consumer vars
-                extra += PredAtom(TBin("=", TVar(prev), TVar(vars(i))))
-              case _ => ren += v -> vars(i)
-            }
-          case ((_, t), i) => // renamed below
-            extra += (if (s.isJoinVar(vars(i))) PredAtom(TBin("=", TVar(vars(i)), t)) else AssignAtom(vars(i), t))
-        }
-        // fresh names for all internal producer vars
-        val internal = prod.body.flatMap(_.allVars).toSet -- ren.keySet
-        val fresh = internal.map(v => v -> ng.fresh(v)).toMap
-        val f: String => String = v => ren.getOrElse(v, fresh.getOrElse(v, v))
-        prod.body.map(_.rename(f)) ++ extra.toVector.map(_.rename(f))
-      case e @ ExistsAtom(_, n) => Vector(ExistsAtom(splice(s.sub(e)), n))
-      case other                => Vector(other)
+    val rel = prod.head.rel
+    def reads(e: ExistsAtom): Boolean = { var hit = false; e.foreachRelAtom(ra => hit ||= ra.rel == rel); hit }
+    def splice(s: Scope): Vector[Atom] = {
+      val out = Vector.newBuilder[Atom]
+      s.atoms.foreach {
+        case RelAtom(`rel`, vars, outer) =>
+          require(outer.isEmpty, "cannot inline into outer-join access")
+          out ++= instance(s, vars, prod, ng)
+        case e: ExistsAtom if reads(e) => out += ExistsAtom(splice(s.sub(e)), e.negated)
+        case other                     => out += other
+      }
+      out.result()
     }
     cons.copy(body = splice(new Scope(cons.body)))
+  }
+
+  /** `prod`'s body read at level `s` with its head columns bound to `vars`:
+    * head column i's producer var is renamed to `vars(i)`, and every other
+    * producer var gets a fresh name. */
+  private def instance(s: Scope, vars: Vector[String], prod: Rule, ng: NameGen): Vector[Atom] = {
+    val ren = mutable.HashMap[String, String]()
+    val extra = Vector.newBuilder[Atom]
+    for (i <- prod.head.cols.indices) prod.head.cols(i)._2 match {
+      case TVar(v) =>
+        ren.get(v) match {
+          case Some(prev) if prev != vars(i) =>
+            // same producer var exported twice — equate consumer vars
+            extra += PredAtom(TBin("=", TVar(prev), TVar(vars(i))))
+          case _ => ren(v) = vars(i)
+        }
+      case t => // renamed below
+        extra += (if (s.isJoinVar(vars(i))) PredAtom(TBin("=", TVar(vars(i)), t)) else AssignAtom(vars(i), t))
+    }
+    // Fresh names are numbered in the iteration order of the (immutable) set
+    // of the producer's other vars.
+    val all = Set.newBuilder[String]
+    prod.body.foreach(_.foreachVar(all += _))
+    val fresh = mutable.HashMap[String, String]()
+    (all.result() -- ren.keys).foreach(v => fresh(v) = ng.fresh(v))
+    val f: String => String = v => ren.getOrElse(v, fresh.getOrElse(v, v))
+    prod.body.map(_.rename(f)) ++ extra.result().map(_.rename(f))
   }
 }

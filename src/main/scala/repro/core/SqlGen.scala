@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.collection.mutable
 import TondIR._
 
 /** TondIR → SQL code generation (§III-E).
@@ -8,9 +9,11 @@ import TondIR._
   * top-level SELECT so its ORDER BY / LIMIT survive (CTEs do not preserve
   * order). Joins are emitted as an explicit JOIN chain derived from
   * Datalog-style variable unification; `exists` atoms become (NOT) EXISTS
-  * subqueries, emitted by the same body function as the rule itself, so
-  * they nest to any depth and may refer to variables of any enclosing
-  * level; UID() becomes a ROW_NUMBER window (0-based).
+  * subqueries, emitted by the same body class (`Level`) as the rule itself,
+  * so they nest to any depth and may refer to variables of any enclosing
+  * level; UID() becomes a ROW_NUMBER window (0-based). The statement is
+  * written into one buffer, and a column reference is written only where a
+  * variable is used.
   *
   * Backend adaptation (§III-E) is confined to [[SqlDialect]]: the only
   * engine-visible differences we need are inline VALUES relations and
@@ -46,125 +49,198 @@ object SqlGen {
     case x                        => String.valueOf(x)
   }
 
+  /** The buffer a statement is written into. */
+  private type Sql = java.lang.StringBuilder
+
   private val binOps = Map(
     "+" -> "+", "-" -> "-", "*" -> "*", "/" -> "/", "%" -> "%",
     "=" -> "=", "<>" -> "<>", "<" -> "<", "<=" -> "<=", ">" -> ">", ">=" -> ">=",
     "and" -> "AND", "or" -> "OR", "like" -> "LIKE", "notlike" -> "NOT LIKE")
 
-  /** Render a term to SQL. `env` resolves a variable to a column reference or
-    * an inlined expression; aggregation arguments are rendered recursively. */
-  private def term(t: Term, env: String => String): String = t match {
-    case TVar(v)       => env(v)
-    case TConst(v)     => const(v)
-    case TAgg("count", TConst(_), false) => "COUNT(*)"
-    case TAgg(f, a, d) => s"${f.toUpperCase}(${if (d) "DISTINCT " else ""}${term(a, env)})"
-    case TIf(c, a, b)  => s"CASE WHEN ${term(c, env)} THEN ${term(a, env)} ELSE ${term(b, env)} END"
-    case TBin("in", l, TExt("list", vals)) =>
-      s"${term(l, env)} IN (${vals.map(term(_, env)).mkString(", ")})"
-    case TBin(op, l, r) =>
-      s"(${term(l, env)} ${binOps.getOrElse(op, sys.error(s"sqlgen: op $op"))} ${term(r, env)})"
-    case TExt("uid", args) =>
-      val ob = if (args.isEmpty) "(SELECT 1)" else args.map(term(_, env)).mkString(", ")
-      s"(ROW_NUMBER() OVER (ORDER BY $ob) - 1)"
-    case TExt("year", Seq(x))   => s"YEAR(${term(x, env)})"
-    case TExt("substr", Seq(x, f, l)) => s"SUBSTR(${term(x, env)}, ${term(f, env)}, ${term(l, env)})"
-    case TExt("round", Seq(x, n)) => s"ROUND(${term(x, env)}, ${term(n, env)})"
-    case TExt("neg", Seq(x))    => s"(-${term(x, env)})"
-    case TExt("length", Seq(x)) => s"LENGTH(${term(x, env)})"
-    case TExt(f, _)             => sys.error(s"sqlgen: unknown external $f")
-  }
+  /** Writes the rules of one program. A rule's FROM items get the aliases
+    * t1, t2, … in the order they are written, the items of `exists` bodies
+    * after those of their enclosing level. */
+  private final class Emitter(p: Program, cat: Catalog, d: SqlDialect) {
+    private var aliasN = 0
+    private val schemas = mutable.HashMap[String, Vector[String]]()
 
-  /** Column names of a relation: from earlier rule heads, else the catalog. */
-  private def schemaOf(rel: String, p: Program, cat: Catalog): Vector[String] =
-    p.defining(rel).map(_.head.colNames).getOrElse(cat.schema(rel))
+    /** Column names of a relation: from its defining rule's head, else the catalog. */
+    private def schemaOf(rel: String): Vector[String] =
+      schemas.getOrElseUpdate(rel, p.defining(rel).fold(cat.schema(rel))(_.head.colNames))
 
-  private def ruleSql(rule: Rule, p: Program, cat: Catalog, d: SqlDialect): String = {
-    var aliasN = 0
-    def nextAlias(): String = { aliasN += 1; s"t$aliasN" }
+    /** One body level's FROM chain and the conditions its bindings imply. A
+      * variable resolves to the column of its first relation or VALUES
+      * binding here, else to its assignment here, else through `outer`. A
+      * variable bound again here is joined by equality (in the ON clause, or
+      * in WHERE within the first item); one bound here and seen by an
+      * enclosing level correlates by equality. `nl` starts a new line. */
+    final class Level(scope: Scope, outer: Option[Level], nl: String) {
+      private val items = scope.atoms.filter(a => a.isInstanceOf[RelAtom] || a.isInstanceOf[ConstAtom])
+      require(items.nonEmpty, s"body with empty FROM: ${scope.atoms.map(show).mkString(", ")}")
+      private val aliases = items.map { _ => aliasN += 1; s"t$aliasN" }
+      // Each item's variables and the names of the columns they bind.
+      private val (vars, cols) = items.map {
+        case r: RelAtom => (r.vars, schemaOf(r.rel))
+        case a          => val vs = a.asInstanceOf[ConstAtom].vars; (vs, vs.map("c_" + _))
+      }.unzip
+      private val bound = mutable.HashMap[String, Int]() // var → index of the item binding it first
+      private var dups: List[String] = Nil              // repeats within the first item, reversed
+      private var correlations: List[String] = Nil      // reversed
 
-    /** One body level → (FROM chain, WHERE conditions, resolve): a variable
-      * resolves to its column here, else to its assignment, else through
-      * `outer`. One bound here and by an enclosing level correlates by
-      * equality; an `exists` atom becomes a subquery over the same function. */
-    def body(scope: Scope, outer: String => String): (String, Vector[String], String => String) = {
-      val bound = scala.collection.mutable.Map[String, String]() // var → column reference
-      def resolve(v: String): String = bound.getOrElse(v, scope.assignOf.get(v).fold(outer(v))(t => s"(${term(t, resolve)})"))
-      val where = scala.collection.mutable.ArrayBuffer[String]()
-      val correlations = scala.collection.mutable.ArrayBuffer[String]()
-      /** Bind; returns the join equality if the var was already bound here. */
-      def bind(v: String, colRef: String): Option[String] = bound.get(v) match {
-        case Some(prev) => Some(s"$prev = $colRef")
-        case None =>
-          if (scope.outer.exists(_.sees(v))) correlations += s"${outer(v)} = $colRef"
-          bound(v) = colRef; None
+      /** Item `i`'s column `k`. */
+      private def col(i: Int, k: Int, out: Sql): Unit = out.append(aliases(i)).append('.').append(cols(i)(k))
+
+      /** Write the column reference or inlined expression `v` resolves to. */
+      def ref(v: String, out: Sql): Unit = bound.getOrElse(v, -1) match {
+        case -1 => scope.assignOf.get(v) match {
+          case Some(t) => out.append('('); term(t, this, out); out.append(')')
+          case None    => outer.fold(sys.error(s"sqlgen: unbound var $v"))(_.ref(v, out))
+        }
+        case i =>
+          var k = 0
+          while (vars(i)(k) != v) k += 1
+          col(i, k, out)
       }
-      val fromItems = scope.atoms.collect { case r: RelAtom => Left(r); case c: ConstAtom => Right(c) }
-      require(fromItems.nonEmpty, s"body with empty FROM: ${scope.atoms.map(show).mkString(", ")}")
-      val sb = new StringBuilder
-      fromItems.zipWithIndex.foreach { case (item, i) =>
-        val alias = nextAlias()
-        val (src, vars, outerOn) = item match {
-          case Left(r)  => (s"${r.rel} AS $alias", r.vars, r.outerOn)
-          case Right(c) => (d.valuesRel(c.rows, alias, c.vars.map(v => s"c_$v")), c.vars, None)
-        }
-        val colOf: Int => String = item match {
-          case Left(r)  => val sc = schemaOf(r.rel, p, cat); k => s"$alias.${sc(k)}"
-          case Right(c) => k => s"$alias.c_${c.vars(k)}"
-        }
-        if (i == 0) { sb ++= src; vars.zipWithIndex.foreach { case (v, k) => where ++= bind(v, colOf(k)) } }
+
+      /** Bind item `i`'s column `k`; if its var was bound here before, write
+        * the join equality to `on` and return true. */
+      private def bind(i: Int, k: Int, on: Sql): Boolean = {
+        val v = vars(i)(k)
+        if (bound.contains(v)) { ref(v, on); on.append(" = "); col(i, k, on); true }
         else {
-          val conds = vars.zipWithIndex.flatMap { case (v, k) => bind(v, colOf(k)) }
-          outerOn match {
-            case Some((kind, on)) =>
+          if (scope.outer.exists(_.sees(v))) {
+            val c = new Sql
+            outer.foreach(_.ref(v, c)); c.append(" = "); col(i, k, c)
+            correlations ::= c.toString
+          }
+          bound(v) = i
+          false
+        }
+      }
+
+      /** The FROM chain: the first item, then one JOIN, outer JOIN or CROSS JOIN per further item. */
+      val from: Sql = new Sql
+      for (i <- items.indices) {
+        val src = items(i) match {
+          case c: ConstAtom => d.valuesRel(c.rows, aliases(i), cols(i))
+          case a            => s"${a.asInstanceOf[RelAtom].rel} AS ${aliases(i)}"
+        }
+        val on = new Sql
+        if (i == 0) {
+          from.append(src)
+          for (k <- vars(i).indices) if (bind(i, k, on)) { dups ::= on.toString; on.setLength(0) }
+        } else {
+          for (k <- vars(i).indices) { val at = on.length; if (at > 0) on.append(" AND "); if (!bind(i, k, on)) on.setLength(at) }
+          items(i) match {
+            case RelAtom(_, _, Some((kind, cond))) =>
               val kw = kind match { case "left" => "LEFT JOIN"; case "right" => "RIGHT JOIN"
                                     case "full" => "FULL JOIN"; case k => sys.error(s"outer $k") }
-              val onSql = (conds :+ term(on, resolve)).mkString(" AND ")
-              sb ++= s"\n  $kw $src ON $onSql"
-            case None if conds.nonEmpty => sb ++= s"\n  JOIN $src ON ${conds.mkString(" AND ")}"
-            case None                   => sb ++= s"\n  CROSS JOIN $src"
+              if (on.length > 0) on.append(" AND ")
+              term(cond, this, on)
+              from.append(nl).append("  ").append(kw).append(' ').append(src).append(" ON ").append(on)
+            case _ if on.length > 0 => from.append(nl).append("  JOIN ").append(src).append(" ON ").append(on)
+            case _                  => from.append(nl).append("  CROSS JOIN ").append(src)
           }
         }
       }
-      where ++= correlations
-      where ++= scope.atoms.collect { case PredAtom(t) => term(t, resolve) }
-      where ++= scope.atoms.collect { case e @ ExistsAtom(_, neg) =>
-        val (from, conds, _) = body(scope.sub(e), resolve)
-        val whereSql = if (conds.nonEmpty) s" WHERE ${conds.mkString(" AND ")}" else ""
-        s"${if (neg) "NOT " else ""}EXISTS (SELECT 1 FROM $from$whereSql)"
+
+      /** Write the WHERE conditions, `kw` before the first and `sep` between
+        * them: the join equalities, the correlations, the predicates, then
+        * each `exists` atom as a subquery. */
+      def where(out: Sql, kw: String, sep: String): Unit = {
+        var first = true
+        def next(): Unit = { out.append(if (first) kw else sep); first = false }
+        dups.reverseIterator.foreach { c => next(); out.append(c) }
+        correlations.reverseIterator.foreach { c => next(); out.append(c) }
+        scope.atoms.foreach { case PredAtom(t) => next(); term(t, this, out); case _ => }
+        scope.atoms.foreach {
+          case e @ ExistsAtom(_, neg) =>
+            next()
+            if (neg) out.append("NOT ")
+            val sub = new Level(scope.sub(e), Some(this), nl)
+            out.append("EXISTS (SELECT 1 FROM ").append(sub.from)
+            sub.where(out, " WHERE ", " AND ")
+            out.append(')')
+          case _ =>
+        }
       }
-      (sb.toString, where.toVector, resolve)
     }
 
-    // Aggregate predicates are the rule's HAVING; the rest of the body is FROM/WHERE.
-    val (having, rest) = rule.body.partition { case PredAtom(t) => t.hasAgg; case _ => false }
-    val (fromSql, whereAll, resolve) = body(new Scope(rest), v => sys.error(s"sqlgen: unbound var $v"))
-    val selCols = rule.head.cols.map { case (n, t) => s"${term(t, resolve)} AS $n" }
-    val groupBy = rule.head.group.map(resolve)
+    /** Write term `t` as resolved at `lv`. */
+    def term(t: Term, lv: Level, out: Sql): Unit = {
+      def go(t: Term): Unit = t match {
+        case TVar(v)       => lv.ref(v, out)
+        case TConst(v)     => out.append(const(v))
+        case TAgg("count", TConst(_), false) => out.append("COUNT(*)")
+        case TAgg(f, a, dist) => out.append(f.toUpperCase).append('('); if (dist) out.append("DISTINCT "); go(a); out.append(')')
+        case TIf(c, a, b)  => out.append("CASE WHEN "); go(c); out.append(" THEN "); go(a); out.append(" ELSE "); go(b); out.append(" END")
+        case TBin("in", l, TExt("list", vals)) =>
+          go(l); out.append(" IN ("); list(vals); out.append(')')
+        case TBin(op, l, r) =>
+          out.append('('); go(l); out.append(' ').append(binOps.getOrElse(op, sys.error(s"sqlgen: op $op"))).append(' '); go(r); out.append(')')
+        case TExt("uid", args) =>
+          out.append("(ROW_NUMBER() OVER (ORDER BY ")
+          if (args.isEmpty) out.append("(SELECT 1)") else list(args)
+          out.append(") - 1)")
+        case TExt("year", Seq(x))              => out.append("YEAR("); go(x); out.append(')')
+        case TExt("substr", as @ Seq(_, _, _)) => out.append("SUBSTR("); list(as); out.append(')')
+        case TExt("round", as @ Seq(_, _))     => out.append("ROUND("); list(as); out.append(')')
+        case TExt("neg", Seq(x))               => out.append("(-"); go(x); out.append(')')
+        case TExt("length", Seq(x))            => out.append("LENGTH("); go(x); out.append(')')
+        case TExt(f, _)                        => sys.error(s"sqlgen: unknown external $f")
+      }
+      def list(ts: Seq[Term]): Unit = ts.indices.foreach { i => if (i > 0) out.append(", "); go(ts(i)) }
+      go(t)
+    }
 
-    val q = new StringBuilder
-    q ++= s"SELECT ${if (rule.head.distinct) "DISTINCT " else ""}${selCols.mkString(", ")}"
-    q ++= s"\nFROM $fromSql"
-    if (whereAll.nonEmpty) q ++= s"\nWHERE ${whereAll.mkString("\n  AND ")}"
-    if (groupBy.nonEmpty) q ++= s"\nGROUP BY ${groupBy.mkString(", ")}"
-    if (having.nonEmpty) q ++= s"\nHAVING ${having.collect { case PredAtom(t) => term(t, resolve) }.mkString(" AND ")}"
-    if (rule.head.sort.nonEmpty)
-      q ++= s"\nORDER BY ${rule.head.sort.map { case (c, asc) => s"$c${if (asc) "" else " DESC"}" }.mkString(", ")}"
-    rule.head.limit.foreach(n => q ++= s"\nLIMIT $n")
-    q.toString
+    /** Write `rule` as one SELECT, `nl` starting each new line. */
+    def rule(rule: Rule, out: Sql, nl: String): Unit = {
+      aliasN = 0
+      // Aggregate predicates are the rule's HAVING; the rest of the body is FROM/WHERE.
+      val isHaving: Atom => Boolean = { case PredAtom(t) => t.hasAgg; case _ => false }
+      val (having, rest) = if (rule.body.exists(isHaving)) rule.body.partition(isHaving) else (Vector.empty, rule.body)
+      val lv = new Level(new Scope(rest), None, nl)
+      val h = rule.head
+      out.append("SELECT ")
+      if (h.distinct) out.append("DISTINCT ")
+      h.cols.indices.foreach { i => if (i > 0) out.append(", "); term(h.cols(i)._2, lv, out); out.append(" AS ").append(h.cols(i)._1) }
+      out.append(nl).append("FROM ").append(lv.from)
+      lv.where(out, nl + "WHERE ", nl + "  AND ")
+      if (h.group.nonEmpty) {
+        out.append(nl).append("GROUP BY ")
+        h.group.indices.foreach { i => if (i > 0) out.append(", "); lv.ref(h.group(i), out) }
+      }
+      if (having.nonEmpty) {
+        out.append(nl).append("HAVING ")
+        having.indices.foreach { i => if (i > 0) out.append(" AND "); having(i) match { case PredAtom(t) => term(t, lv, out); case _ => } }
+      }
+      if (h.sort.nonEmpty) {
+        out.append(nl).append("ORDER BY ")
+        h.sort.indices.foreach { i => if (i > 0) out.append(", "); out.append(h.sort(i)._1); if (!h.sort(i)._2) out.append(" DESC") }
+      }
+      h.limit.foreach(n => out.append(nl).append("LIMIT ").append(n))
+    }
   }
 
-  /** Full program → one SQL statement: CTE chain + final SELECT. */
+  /** Full program → one SQL statement: CTE chain + final SELECT, each CTE's
+    * body indented by two spaces. */
   def programSql(p: Program, cat: Catalog, d: SqlDialect): String = {
     require(p.rules.nonEmpty, "empty program")
     val last = p.rules.last
     require(last.head.rel == p.result,
       s"result ${p.result} must be the last rule (got ${last.head.rel})")
-    val ctes = p.rules.init.map { r =>
-      s"${r.head.rel}(${r.head.colNames.mkString(", ")}) AS (\n${indent(ruleSql(r, p, cat, d))}\n)"
+    val e = new Emitter(p, cat, d)
+    val out = new Sql(1024)
+    for (i <- 0 until p.rules.size - 1) {
+      val h = p.rules(i).head
+      out.append(if (i == 0) "WITH " else ",\n").append(h.rel).append('(')
+      h.cols.indices.foreach { k => if (k > 0) out.append(", "); out.append(h.cols(k)._1) }
+      out.append(") AS (\n  ")
+      e.rule(p.rules(i), out, "\n  ")
+      out.append("\n)")
     }
-    val finalSql = ruleSql(last, p, cat, d)
-    if (ctes.isEmpty) finalSql else s"WITH ${ctes.mkString(",\n")}\n$finalSql"
+    if (p.rules.size > 1) out.append('\n')
+    e.rule(last, out, "\n")
+    out.toString
   }
-
-  private def indent(s: String): String = s.linesIterator.map("  " + _).mkString("\n")
 }

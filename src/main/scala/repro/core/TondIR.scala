@@ -141,8 +141,8 @@ object TondIR {
     /** True iff this rule aggregates (group clause or agg term anywhere). */
     def hasAgg: Boolean =
       head.group.nonEmpty || head.cols.exists(_._2.hasAgg) ||
-        assigns.exists(_.t.hasAgg)
-    def hasOuter: Boolean = relAtoms.exists(_.outerOn.nonEmpty)
+        body.exists { case AssignAtom(_, t) => t.hasAgg; case _ => false }
+    def hasOuter: Boolean = body.exists { case RelAtom(_, _, o) => o.nonEmpty; case _ => false }
   }
 
   /** A program: ordered rules plus the name of the result relation (the last
@@ -227,11 +227,12 @@ object TondIR {
   def show(p: Program): String = p.rules.map(show).mkString("\n")
 
   // ------------------------------------------------------------- fresh names
-  /** Thread-safe fresh-name supply used by lowering/optimization so relation
-    * access renaming (§III-B) never collides. */
+  /** Fresh-name supply used by lowering/optimization so relation access
+    * renaming (§III-B) never collides. One instance serves one lowering or
+    * optimization call, on one thread. */
   final class NameGen(prefix: String = "v") {
     private var i = 0
-    def fresh(): String = synchronized { i += 1; s"${prefix}_$i" }
-    def fresh(stem: String): String = synchronized { i += 1; s"${stem}_$i" }
+    def fresh(): String = { i += 1; s"${prefix}_$i" }
+    def fresh(stem: String): String = { i += 1; s"${stem}_$i" }
   }
 }

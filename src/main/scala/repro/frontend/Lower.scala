@@ -29,8 +29,8 @@ object Lower {
 
     def freshVars(schema: Vector[String]): Vector[String] = schema.map(c => ng.fresh(c))
 
-    def exprTerm(e: PExpr, varOf: Map[String, String]): Term = e match {
-      case PCol(n) => TVar(varOf.getOrElse(n, sys.error(s"lower: unknown column '$n' (have ${varOf.keys.toVector.sorted})")))
+    def exprTerm(e: PExpr, varOf: String => String): Term = e match {
+      case PCol(n) => TVar(varOf(n))
       case PLit(i: Int)  => TConst(i.toLong)
       case PLit(v)       => TConst(v)
       case PBin(op, l, r) => TBin(op, exprTerm(l, varOf), exprTerm(r, varOf))
@@ -56,10 +56,14 @@ object Lower {
     }
 
     /** Lower `in` and read its result: the value, one fresh variable per
-      * column, and the column → variable map. */
-    def read(in: POp): (Val, Vector[String], Map[String, String]) = {
+      * column, and the column → variable function (the last column of a
+      * repeated name wins). */
+    def read(in: POp): (Val, Vector[String], String => String) = {
       val p = go(in); val vs = freshVars(p.schema)
-      (p, vs, p.schema.zip(vs).toMap)
+      (p, vs, c => p.schema.lastIndexOf(c) match {
+        case -1 => sys.error(s"lower: unknown column '$c' (have ${p.schema.distinct.sorted})")
+        case i  => vs(i)
+      })
     }
 
     def go(op: POp): Val = memo.getOrElseUpdate(op, op match {
@@ -77,7 +81,10 @@ object Lower {
       case w @ WithCols(in, newCols) =>
         val (p, vs, varOf) = read(in)
         val assigns = newCols.map { case (n, e) => n -> AssignAtom(ng.fresh(n), exprTerm(e, varOf)) }
-        val outVar: Map[String, String] = varOf ++ assigns.map { case (n, a) => n -> a.v }
+        def outVar(c: String): String = assigns.lastIndexWhere(_._1 == c) match {
+          case -1 => varOf(c)
+          case j  => assigns(j)._2.v
+        }
         emit(w.schema.map(c => c -> (TVar(outVar(c)): Term)),
              RelAtom(p.rel, vs) +: assigns.map(_._2))
 
@@ -94,7 +101,7 @@ object Lower {
         val joinVar: Map[String, String] =
           if (how == "inner") rightOn.zip(leftOn).map { case (rc, lc) => rc -> lVarOf(lc) }.toMap else Map.empty
         val rv = pr.schema.map(c => joinVar.getOrElse(c, ng.fresh(c)))
-        val rVarOf = pr.schema.zip(rv).toMap
+        def rVarOf(c: String): String = rv(pr.schema.lastIndexOf(c))
         val outer = how match {
           case "inner" | "cross" => None
           case "left" | "right" | "full" =>
@@ -135,7 +142,7 @@ object Lower {
         // Correlate by giving the joined right-side columns the same vars.
         val joinVar: Map[String, String] = on.map { case (lc, rc) => rc -> lVarOf(lc) }.toMap
         val rv = pr.schema.map(c => joinVar.getOrElse(c, ng.fresh(c)))
-        val rVarOf = pr.schema.zip(rv).toMap
+        def rVarOf(c: String): String = rv(pr.schema.lastIndexOf(c))
         val neqPreds = neq.map { case (opS, lc, rc) =>
           PredAtom(TBin(opS, TVar(lVarOf(lc)), TVar(rVarOf(rc)))) }
         emit(pl.schema.zip(lv.map(TVar(_): Term)),

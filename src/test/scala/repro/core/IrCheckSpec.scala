@@ -8,7 +8,10 @@ import TondIR._
   * and after every pass of every step of each optimizer level's fixpoint,
   * and each level's output is a fixpoint of that level's step. The passes
   * are replayed one at a time and checked against `Optimizer.step`, so the
-  * replay cannot drift from the optimizer. */
+  * replay cannot drift from the optimizer. The replay stacks the levels,
+  * each starting from the one below, while `Optimizer.optimize` runs each of
+  * O1..O3 from the lowered program; comparing the two at every level checks
+  * that stacking the levels reaches the same programs. */
 class IrCheckSpec extends AnyFunSuite {
 
   /** The passes of one step, in `Optimizer.step`'s order, with the lowest

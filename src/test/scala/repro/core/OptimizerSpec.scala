@@ -145,6 +145,25 @@ class OptimizerSpec extends AnyFunSuite {
     assert(out.rules.head.head.group == Vector("x"))
   }
 
+  test("group-aggregate elimination keeps a grouping whose body repeats rows through VALUES") {
+    // P(a, z) :- R(a,b,c,d), <z>=rows.   Q(a, n) group(a2) :- P(a2, z2), (n=count(1)).
+    def prog(rows: Int) = {
+      val values = ConstAtom(Vector("z"), Vector.tabulate(rows)(i => Vector(TConst(i.toLong))))
+      val count = AssignAtom("n", TAgg("count", TConst(1L)))
+      Program(Vector(
+        Rule(Head("P", Vector("a" -> v("a"), "z" -> v("z"))), Vector(RelAtom("R", Vector("a", "b", "c", "d")), values)),
+        Rule(Head("Q", Vector("a" -> v("a2"), "n" -> v("n")), group = Vector("a2")),
+             Vector(RelAtom("P", Vector("a2", "z2")), count)),
+        // the same, with the VALUES atom in the grouping rule's own body (as after inlining)
+        Rule(Head("Q2", Vector("a" -> v("a3"), "n" -> v("n")), group = Vector("a3")),
+             Vector(RelAtom("R", Vector("a3", "b3", "c3", "d3")), values, count))), "Q2")
+    }
+    val two = Optimizer.groupAggElim(prog(2), cat)
+    assert(two.rules.map(_.head.group) == Vector(Vector(), Vector("a2"), Vector("a3")), TondIR.show(two))
+    val one = Optimizer.groupAggElim(prog(1), cat)
+    assert(one.rules.map(_.head.group) == Vector(Vector(), Vector(), Vector()), TondIR.show(one))
+  }
+
   // ------------------------------------------------ self-join elimination
   test("self-join elimination on a unique join column (paper §IV example)") {
     // T(x, y) :- S(id, x, y1), S(id, x2, y).

@@ -218,6 +218,17 @@ class SqlGenSpec extends SparkSpec {
     run(p, "SELECT k AS k2 FROM t WHERE s = 'a'", 0 to 4)
   }
 
+  test("a VALUES relation of two rows repeats each row at O0–O4") {
+    // P(k, c) :- t(k, s, x), <c>=[(1),(2)].   r(k2, n) group(k2) :- P(k2, c2), (n = count(1)).
+    // k is unique in t but not in P, so the grouping must stay.
+    val p = Program(Vector(
+      Rule(Head("P", Vector("k" -> v("k"), "c" -> v("c"))),
+           Vector(tk, ConstAtom(Vector("c"), Vector(Vector(TConst(1L)), Vector(TConst(2L)))))),
+      Rule(Head("r", Vector("k2" -> v("k2"), "n" -> v("n")), group = Vector("k2")),
+           Vector(RelAtom("P", Vector("k2", "c2")), AssignAtom("n", TAgg("count", TConst(1L)))))), "r")
+    run(p, "SELECT k AS k2, COUNT(*) AS n FROM t CROSS JOIN (VALUES (1), (2)) AS vals(c) GROUP BY k", 0 to 4)
+  }
+
   test("a variable two levels out: correlated SQL, a named SparkGen error") {
     val inner = ExistsAtom(Vector(RelAtom("u", Vector("j", "y2")), PredAtom(TBin(">", TBin("*", v("y2"), TConst(2.0)), v("x")))))
     val p = existsRule(ExistsAtom(Vector(RelAtom("u", Vector("k", "y")), inner)))
