@@ -10,12 +10,9 @@ package repro.core
   *
   * @param schemas     base relation name → ordered column names
   * @param uniqueCols  base relation name → columns known unique (PKs etc.)
-  * @param matrixCols  dense matrix relation → number of value columns
-  *                    (its schema is `(id, c0..c{n-1})`)
   */
 final case class Catalog(schemas: Map[String, Vector[String]],
-                         uniqueCols: Map[String, Set[String]] = Map.empty,
-                         matrixCols: Map[String, Int] = Map.empty) {
+                         uniqueCols: Map[String, Set[String]] = Map.empty) {
 
   def schema(rel: String): Vector[String] =
     schemas.getOrElse(rel, sys.error(s"catalog: unknown relation '$rel'"))
@@ -28,8 +25,7 @@ final case class Catalog(schemas: Map[String, Vector[String]],
   def withMatrix(rel: String, nCols: Int): Catalog = {
     val cols = "id" +: (0 until nCols).map(i => s"c$i")
     copy(schemas = schemas + (rel -> cols.toVector),
-         uniqueCols = uniqueCols + (rel -> Set("id")),
-         matrixCols = matrixCols + (rel -> nCols))
+         uniqueCols = uniqueCols + (rel -> Set("id")))
   }
 
   /** Register a sparse COO matrix stored as `(i, j, v)`. */

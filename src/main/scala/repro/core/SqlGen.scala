@@ -16,26 +16,23 @@ import TondIR._
   * variable is used.
   *
   * Backend adaptation (§III-E) is confined to [[SqlDialect]]: the only
-  * engine-visible differences we need are inline VALUES relations and
-  * integer-division spelling.
+  * engine-visible difference we need is how an inline VALUES relation is
+  * spelled.
   */
 object SqlGen {
 
   sealed trait SqlDialect {
-    def name: String
     /** Render an inline constant relation with the given alias and columns. */
     def valuesRel(rows: Vector[Vector[TConst]], alias: String, cols: Vector[String]): String
   }
 
   case object DuckDialect extends SqlDialect {
-    val name = "duckdb"
     def valuesRel(rows: Vector[Vector[TConst]], alias: String, cols: Vector[String]): String =
       s"(VALUES ${rows.map(r => r.map(c => const(c.v)).mkString("(", ", ", ")")).mkString(", ")}) " +
         s"AS $alias(${cols.mkString(", ")})"
   }
 
   case object SparkDialect extends SqlDialect {
-    val name = "spark"
     def valuesRel(rows: Vector[Vector[TConst]], alias: String, cols: Vector[String]): String =
       s"(SELECT * FROM VALUES ${rows.map(r => r.map(c => const(c.v)).mkString("(", ", ", ")")).mkString(", ")} " +
         s"AS inline_(${cols.mkString(", ")})) AS $alias"

@@ -58,7 +58,8 @@ object TondIR {
   final case class TConst(v: Any) extends Term
   /** Aggregation over a term: sum/min/max/avg/count (optionally DISTINCT). */
   final case class TAgg(fn: String, arg: Term, distinct: Boolean = false) extends Term
-  /** External function call: uid, year, substr, round, abs, strlen, … */
+  /** External function call: uid, year, substr, round, neg or length, and
+    * `list` as the right side of `in`. */
   final case class TExt(fn: String, args: Seq[Term]) extends Term
   /** Conditional `if(c, t, e)`. */
   final case class TIf(c: Term, t: Term, e: Term) extends Term
@@ -76,13 +77,6 @@ object TondIR {
       case PredAtom(t)        => t.foreachVar(f)
       case AssignAtom(v, t)   => t.foreachVar(f); f(v)
       case ExistsAtom(b, _)   => b.foreach(_.foreachVar(f))
-    }
-
-    /** All variable names of this atom, at any depth. */
-    def allVars: Set[String] = {
-      val b = Set.newBuilder[String]
-      foreachVar(b += _)
-      b.result()
     }
 
     /** Apply `f` to every relation atom, inside `exists` bodies too. */
@@ -150,10 +144,6 @@ object TondIR {
     * relation with no defining rule. */
   final case class Program(rules: Vector[Rule], result: String) {
     def defining(rel: String): Option[Rule] = rules.reverseIterator.find(_.head.rel == rel)
-    def baseRels: Set[String] = {
-      val defined = rules.map(_.head.rel).toSet
-      rules.flatMap(_.body.flatMap(allRelAtoms)).map(_.rel).filterNot(defined).toSet
-    }
   }
 
   /** Rel atoms at any nesting depth (including inside exists bodies). */

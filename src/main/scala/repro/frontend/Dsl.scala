@@ -14,6 +14,12 @@ import repro.core.Catalog
   * Schemas are inferred at construction time from the [[Catalog]] (the
   * paper's database-catalog/decorator contextual information, §III-A),
   * including Pandas' implicit `_x`/`_y` suffix renaming on merges.
+  *
+  * There are twelve operators: `Source`, `Filter`, `Project`, `WithCols`,
+  * `Merge`, `GroupAgg`, `SortLimit`, `SemiJoin`, `Pivot`, `AlignJoin`,
+  * `ToMatrix` and `EinsumOp`. As in the paper's Table V, column selection,
+  * renaming, `unique` and array → DataFrame are one positional [[Project]],
+  * and a whole-relation aggregate is a [[GroupAgg]] with no keys.
   */
 object Dsl {
 
@@ -59,12 +65,14 @@ object Dsl {
 
   final case class Source(name: String, schema: Vector[String]) extends POp
   final case class Filter(in: POp, cond: PExpr) extends POp { val schema = in.schema }
-  final case class SelectCols(in: POp, cols: Vector[String]) extends POp { val schema = cols }
+  /** Projection: output column `out` is input column number `pos`; with
+    * `distinct`, duplicate rows go (`drop_duplicates`). Positional, because
+    * an einsum's schema is only known after lowering. */
+  final case class Project(in: POp, cols: Vector[(String, Int)], distinct: Boolean) extends POp {
+    val schema = cols.map(_._1)
+  }
   final case class WithCols(in: POp, newCols: Vector[(String, PExpr)]) extends POp {
     val schema = in.schema.filterNot(newCols.map(_._1).contains) ++ newCols.map(_._1)
-  }
-  final case class Rename(in: POp, mapping: Map[String, String]) extends POp {
-    val schema = in.schema.map(c => mapping.getOrElse(c, c))
   }
   /** Pandas merge with implicit `_x`/`_y` suffixing of shared non-key
     * columns (§III-C "Implicit Renaming"). */
@@ -80,17 +88,13 @@ object Dsl {
         .map(c => c -> (if (overlap(c)) c + suffixes._2 else c))
     val schema = leftOut.map(_._2) ++ rightOut.map(_._2)
   }
+  /** Grouped aggregate. With no keys it is a whole-relation aggregate of
+    * one row (for `df.c.max()` style scalars, combined with crossMerge). */
   final case class GroupAgg(in: POp, keys: Vector[String], aggs: Vector[AggSpec]) extends POp {
     val schema = keys ++ aggs.map(_.out)
   }
-  /** Whole-relation aggregate → one-row result (for `df.c.max()` style
-    * scalars, combined with crossMerge). */
-  final case class ScalarAgg(in: POp, aggs: Vector[AggSpec]) extends POp {
-    val schema = aggs.map(_.out)
-  }
   final case class SortLimit(in: POp, by: Vector[String], asc: Vector[Boolean],
                              limit: Option[Long]) extends POp { val schema = in.schema }
-  final case class DistinctOp(in: POp, cols: Vector[String]) extends POp { val schema = cols }
   /** Semi/anti join (Pandas `isin` / filtering merges): keep rows of `l`
     * with (no) match in `r` on the given column pairs plus optional
     * non-equi conditions (op, leftCol, rightCol). */
@@ -122,20 +126,19 @@ object Dsl {
   final case class EinsumOp(spec: String, operands: Vector[POp]) extends POp {
     val schema = Vector.empty // filled during lowering (shape-dependent)
   }
-  /** Array → DataFrame with the given column names (keeps the id). */
-  final case class MatToDf(in: POp, names: Vector[String]) extends POp {
-    val schema = "id" +: names
-  }
 
   // ------------------------------------------------------------ fluent API
   /** Pandas-style DataFrame handle. */
   final class Df(val op: POp) {
     def schema: Vector[String] = op.schema
     def filter(e: PExpr): Df            = new Df(Filter(op, e))
-    def select(cols: String*): Df       = new Df(SelectCols(op, cols.toVector))
+    def select(cols: String*): Df       = new Df(Project(op, positions(cols), distinct = false))
     def withCol(n: String, e: PExpr): Df = new Df(WithCols(op, Vector(n -> e)))
     def withCols(cs: (String, PExpr)*): Df = new Df(WithCols(op, cs.toVector))
-    def rename(m: (String, String)*): Df = new Df(Rename(op, m.toMap))
+    def rename(m: (String, String)*): Df = {
+      val to = m.toMap
+      new Df(Project(op, op.schema.map(c => to.getOrElse(c, c)).zipWithIndex, distinct = false))
+    }
 
     def merge(o: Df, on: Seq[String], how: String = "inner",
               suffixes: (String, String) = ("_x", "_y")): Df =
@@ -147,7 +150,7 @@ object Dsl {
       new Df(Merge(op, o.op, "cross", Vector.empty, Vector.empty, ("_x", "_y")))
 
     def groupby(keys: String*): Grouped = new Grouped(op, keys.toVector)
-    def aggregate(aggs: AggSpec*): Df   = new Df(ScalarAgg(op, aggs.toVector))
+    def aggregate(aggs: AggSpec*): Df   = new Df(GroupAgg(op, Vector.empty, aggs.toVector))
 
     def sortValues(by: Seq[String], asc: Seq[Boolean]): Df =
       new Df(SortLimit(op, by.toVector, asc.toVector, None))
@@ -157,7 +160,14 @@ object Dsl {
       case SortLimit(in, by, asc, None) => new Df(SortLimit(in, by, asc, Some(n)))
       case _ => new Df(SortLimit(op, Vector.empty, Vector.empty, Some(n)))
     }
-    def unique(cols: String*): Df = new Df(DistinctOp(op, cols.toVector))
+    def unique(cols: String*): Df = new Df(Project(op, positions(cols), distinct = true))
+
+    /** Each column with its position; a repeated name means its last column. */
+    private def positions(cols: Seq[String]): Vector[(String, Int)] = cols.toVector.map { c =>
+      val i = op.schema.lastIndexOf(c)
+      require(i >= 0, s"unknown column '$c' (have ${op.schema.distinct.sorted.mkString(", ")})")
+      c -> i
+    }
 
     def isin(myCol: String, other: Df, otherCol: String): Df =
       new Df(SemiJoin(op, other.op, Vector(myCol -> otherCol), Vector.empty, negated = false))
@@ -188,7 +198,7 @@ object Dsl {
 
   /** NumPy array handle (dense layout). */
   final class Arr(val op: POp) {
-    def toDf(names: String*): Df = new Df(MatToDf(op, names.toVector))
+    def toDf(names: String*): Df = new Df(Project(op, ("id" +: names.toVector).zipWithIndex, distinct = false))
   }
 
   object np {
@@ -200,9 +210,11 @@ object Dsl {
   def table(name: String)(implicit cat: Catalog): Df = new Df(Source(name, cat.schema(name)))
 
   /** Entry point: a base relation registered as a dense matrix `(id, c0..)`
-    * (decorator-declared layout, §II-B). */
+    * with a unique id (decorator-declared layout, §II-B). */
   def matrixTable(name: String)(implicit cat: Catalog): Arr = {
-    require(cat.matrixCols.contains(name), s"$name is not a registered matrix")
-    new Arr(Source(name, cat.schema(name)))
+    val schema = cat.schema(name)
+    require(schema == "id" +: Vector.tabulate(schema.size - 1)(i => s"c$i") &&
+              cat.uniqueCols.get(name).exists(_("id")), s"$name is not a registered matrix")
+    new Arr(Source(name, schema))
   }
 }

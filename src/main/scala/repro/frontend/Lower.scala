@@ -20,9 +20,10 @@ object Lower {
     * otherwise. */
   private final case class Val(rel: String, schema: Vector[String])
 
-  def lower(root: Df, cat: Catalog): Program = lower(root.op, cat)
+  /** What `read` returns for one input. */
+  private type Read = (Val, Vector[String], String => String)
 
-  def lower(root: POp, cat: Catalog): Program = {
+  def lower(root: Df, cat: Catalog): Program = {
     val ng = new NameGen("v")
     val rules = scala.collection.mutable.ArrayBuffer[Rule]()
     val memo = scala.collection.mutable.HashMap[POp, Val]()
@@ -58,12 +59,23 @@ object Lower {
     /** Lower `in` and read its result: the value, one fresh variable per
       * column, and the column → variable function (the last column of a
       * repeated name wins). */
-    def read(in: POp): (Val, Vector[String], String => String) = {
+    def read(in: POp): Read = {
       val p = go(in); val vs = freshVars(p.schema)
       (p, vs, c => p.schema.lastIndexOf(c) match {
         case -1 => sys.error(s"lower: unknown column '$c' (have ${p.schema.distinct.sorted})")
         case i  => vs(i)
       })
+    }
+
+    /** Lower both sides of a join, then read them: the left as `read` does,
+      * the right with each column of `pairs` (left, right) taking its left
+      * column's variable and every other column a fresh one. */
+    def readJoin(l: POp, r: POp, pairs: Vector[(String, String)]): (Read, Read) = {
+      go(l); val pr = go(r)   // both sides' rules before the left variables; read(l) hits the memo
+      val left @ (_, _, lVarOf) = read(l)
+      val joinVar: Map[String, String] = pairs.map { case (lc, rc) => rc -> lVarOf(lc) }.toMap
+      val rv = pr.schema.map(c => joinVar.getOrElse(c, ng.fresh(c)))
+      (left, (pr, rv, c => rv(pr.schema.lastIndexOf(c))))
     }
 
     def go(op: POp): Val = memo.getOrElseUpdate(op, op match {
@@ -74,9 +86,9 @@ object Lower {
         val preds = conjuncts(cond).map(c => PredAtom(exprTerm(c, varOf)))
         emit(p.schema.zip(vs.map(TVar(_): Term)), RelAtom(p.rel, vs) +: preds)
 
-      case SelectCols(in, cols) =>
-        val (p, vs, varOf) = read(in)
-        emit(cols.map(c => c -> (TVar(varOf(c)): Term)), Vector(RelAtom(p.rel, vs)))
+      case Project(in, cols, distinct) =>
+        val (p, vs, _) = read(in)
+        emit(cols.map { case (n, i) => n -> (TVar(vs(i)): Term) }, Vector(RelAtom(p.rel, vs)), distinct = distinct)
 
       case w @ WithCols(in, newCols) =>
         val (p, vs, varOf) = read(in)
@@ -88,20 +100,11 @@ object Lower {
         emit(w.schema.map(c => c -> (TVar(outVar(c)): Term)),
              RelAtom(p.rel, vs) +: assigns.map(_._2))
 
-      case Rename(in, mapping) =>
-        val (p, vs, _) = read(in)
-        emit(p.schema.zip(vs).map { case (c, v) => mapping.getOrElse(c, c) -> (TVar(v): Term) },
-             Vector(RelAtom(p.rel, vs)))
-
       case m @ Merge(l, r, how, leftOn, rightOn, _) =>
-        go(l); val pr = go(r)   // both sides' rules before the left variables; read(l) hits the memo
-        val (pl, lv, lVarOf) = read(l)
         // Inner-join variables get identical names (Datalog unification,
         // §III-C); cross and outer joins keep distinct variables.
-        val joinVar: Map[String, String] =
-          if (how == "inner") rightOn.zip(leftOn).map { case (rc, lc) => rc -> lVarOf(lc) }.toMap else Map.empty
-        val rv = pr.schema.map(c => joinVar.getOrElse(c, ng.fresh(c)))
-        def rVarOf(c: String): String = rv(pr.schema.lastIndexOf(c))
+        val ((pl, lv, lVarOf), (pr, rv, rVarOf)) =
+          readJoin(l, r, if (how == "inner") leftOn.zip(rightOn) else Vector.empty)
         val outer = how match {
           case "inner" | "cross" => None
           case "left" | "right" | "full" =>
@@ -121,28 +124,14 @@ object Lower {
                    aggs.zip(assigns).map { case (a, as) => a.out -> (TVar(as.v): Term) }
         emit(cols, RelAtom(p.rel, vs) +: assigns, group = keys.map(varOf))
 
-      case ScalarAgg(in, aggs) =>
-        val (p, vs, varOf) = read(in)
-        val assigns = aggs.map(a => AssignAtom(ng.fresh(a.out), TAgg(a.fn, exprTerm(a.arg, varOf), a.distinct)))
-        emit(aggs.zip(assigns).map { case (a, as) => a.out -> (TVar(as.v): Term) },
-             RelAtom(p.rel, vs) +: assigns)
-
       case SortLimit(in, by, asc, limit) =>
         val (p, vs, _) = read(in)
         emit(p.schema.zip(vs.map(TVar(_): Term)), Vector(RelAtom(p.rel, vs)),
              sort = by.zip(asc.padTo(by.size, true)), limit = limit)
 
-      case DistinctOp(in, cols) =>
-        val (p, vs, varOf) = read(in)
-        emit(cols.map(c => c -> (TVar(varOf(c)): Term)), Vector(RelAtom(p.rel, vs)), distinct = true)
-
       case SemiJoin(l, r, on, neq, negated) =>
-        go(l); val pr = go(r)   // both sides' rules before the left variables; read(l) hits the memo
-        val (pl, lv, lVarOf) = read(l)
         // Correlate by giving the joined right-side columns the same vars.
-        val joinVar: Map[String, String] = on.map { case (lc, rc) => rc -> lVarOf(lc) }.toMap
-        val rv = pr.schema.map(c => joinVar.getOrElse(c, ng.fresh(c)))
-        def rVarOf(c: String): String = rv(pr.schema.lastIndexOf(c))
+        val ((pl, lv, lVarOf), (pr, rv, rVarOf)) = readJoin(l, r, on)
         val neqPreds = neq.map { case (opS, lc, rc) =>
           PredAtom(TBin(opS, TVar(lVarOf(lc)), TVar(rVarOf(rc)))) }
         emit(pl.schema.zip(lv.map(TVar(_): Term)),
@@ -186,18 +175,12 @@ object Lower {
         val lo = Einsum.lowerDense(spec, operands.map(go).map(o => Einsum.DenseOp(o.rel, o.schema.size - 1)), ng)
         rules ++= lo.rules
         Val(lo.result, lo.rules.last.head.colNames)
-
-      case MatToDf(in, names) =>
-        val (p, vs, _) = read(in)
-        emit(("id" -> (TVar(vs.head): Term)) +:
-               names.zip(vs.tail).map { case (n, v) => n -> (TVar(v): Term) },
-             Vector(RelAtom(p.rel, vs)))
     })
 
-    val res = go(root)
+    val res = go(root.op)
     // The result must be the program's final rule (programSql invariant).
     if (!rules.lastOption.exists(_.head.rel == res.rel)) {
-      val (_, vs, _) = read(root)
+      val (_, vs, _) = read(root.op)
       emit(res.schema.zip(vs.map(TVar(_): Term)), Vector(RelAtom(res.rel, vs)))
     }
     Program(rules.toVector, rules.last.head.rel)

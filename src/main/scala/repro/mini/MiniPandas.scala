@@ -47,6 +47,15 @@ object MiniPandas {
     if (isNum(a) && isNum(b)) java.lang.Double.compare(num(a), num(b))
     else String.valueOf(a).compareTo(String.valueOf(b))
 
+  /** Rows ordered by the columns `by` (index, ascending?), values compared by `cmp`. */
+  private def rowOrdering(by: Vector[(Int, Boolean)]): Ordering[Array[Any]] = new Ordering[Array[Any]] {
+    def compare(a: Array[Any], b: Array[Any]): Int = {
+      by.foreach { case (i, up) =>
+        val c = cmp(a(i), b(i)); if (c != 0) return if (up) c else -c }
+      0
+    }
+  }
+
   private def keyOf(v: Any): Any = v match {
     case i: Int => i.toLong
     case d: java.sql.Date => d.toLocalDate
@@ -114,9 +123,7 @@ object MiniPandas {
   // ---------------------------------------------------------- op evaluation
   /** Evaluate a DSL DAG eagerly. Each node materializes its full result
     * (the Pandas execution model). */
-  def run(df: Df, inputs: Map[String, Table]): Table = run(df.op, inputs)
-
-  def run(root: POp, inputs: Map[String, Table]): Table = {
+  def run(df: Df, inputs: Map[String, Table]): Table = {
     val memo = scala.collection.mutable.HashMap[POp, Table]()
 
     def go(op: POp): Table = memo.getOrElseUpdate(op, op match {
@@ -126,9 +133,13 @@ object MiniPandas {
         val t = go(in)
         Table(t.schema, t.rows.filter(r => truthy(eval(cond, t.schema, r))))
 
-      case SelectCols(in, cols) =>
-        val t = go(in); val ix = cols.map(t.idx)
-        Table(cols, t.rows.map(r => ix.map(r).toArray))
+      case Project(in, cols, distinct) =>
+        val t = go(in); val ix = cols.map(_._2)
+        val rows =
+          if (distinct) t.rows.map(r => ix.map(i => keyOf(r(i)))).distinct.map(_.toArray)
+          else if (ix == t.schema.indices) t.rows   // rename and toDf copy nothing
+          else t.rows.map(r => ix.map(r).toArray)
+        Table(cols.map(_._1), rows)
 
       case w @ WithCols(in, newCols) =>
         val t = go(in)
@@ -136,9 +147,6 @@ object MiniPandas {
         val keptIx = kept.map(t.idx)
         Table(w.schema, t.rows.map { r =>
           (keptIx.map(r) ++ newCols.map { case (_, e) => eval(e, t.schema, r) }).toArray })
-
-      case Rename(in, m) =>
-        val t = go(in); Table(t.schema.map(c => m.getOrElse(c, c)), t.rows)
 
       case mg @ Merge(l, r, how, leftOn, rightOn, _) =>
         val (lt, rt) = (go(l), go(r))
@@ -166,34 +174,19 @@ object MiniPandas {
       case ga @ GroupAgg(in, keys, aggs) =>
         val t = go(in); val kIx = keys.map(t.idx)
         val groups = scala.collection.mutable.LinkedHashMap[Vector[Any], Vector[Array[Any]]]()
-        t.rows.foreach { r =>
+        // No keys: one group, so one row even over empty input, as SQL without GROUP BY.
+        if (keys.isEmpty) groups(Vector.empty) = t.rows
+        else t.rows.foreach { r =>
           val k = kIx.map(i => keyOf(r(i)))
           groups(k) = groups.getOrElse(k, Vector.empty) :+ r
         }
         Table(ga.schema, groups.iterator.map { case (k, rs) =>
           (k ++ aggs.map(a => aggregate(a, t.schema, rs))).toArray }.toVector)
 
-      case sa @ ScalarAgg(in, aggs) =>
-        val t = go(in)
-        Table(sa.schema, Vector(aggs.map(a => aggregate(a, t.schema, t.rows)).toArray))
-
       case SortLimit(in, by, asc, limit) =>
-        val t = go(in); val ix = by.map(t.idx).zip(asc.padTo(by.size, true))
-        val ord = new Ordering[Array[Any]] {
-          def compare(a: Array[Any], b: Array[Any]): Int = {
-            ix.foreach { case (i, up) =>
-              val c = cmp(a(i), b(i)); if (c != 0) return if (up) c else -c }
-            0
-          }
-        }
-        val sorted = if (by.isEmpty) t.rows else t.rows.sorted(ord)
+        val t = go(in)
+        val sorted = if (by.isEmpty) t.rows else t.rows.sorted(rowOrdering(by.map(t.idx).zip(asc.padTo(by.size, true))))
         Table(t.schema, limit.map(n => sorted.take(n.toInt)).getOrElse(sorted))
-
-      case DistinctOp(in, cols) =>
-        val t = go(in); val ix = cols.map(t.idx)
-        val seen = scala.collection.mutable.LinkedHashSet[Vector[Any]]()
-        t.rows.foreach(r => seen += ix.map(i => keyOf(r(i))))
-        Table(cols, seen.iterator.map(_.toArray).toVector)
 
       case SemiJoin(l, r, on, neq, negated) =>
         val (lt, rt) = (go(l), go(r))
@@ -231,19 +224,16 @@ object MiniPandas {
       case aj @ AlignJoin(l, r) =>
         val (lt, rt) = (go(l), go(r))
         require(lt.rows.size == rt.rows.size, "alignWith: row counts differ")
-        def ordered(t: Table): Vector[Array[Any]] =
-          t.rows.sortBy(r => r.toVector.map(v => f"${num(v)}%024.6f").mkString("|"))
+        // Each side numbered in the order of all its columns, as the compiled UID.
+        def ordered(t: Table): Vector[Array[Any]] = t.rows.sorted(rowOrdering(t.schema.indices.toVector.map(_ -> true)))
         Table(aj.schema, ordered(lt).zip(ordered(rt)).map { case (a, b) => a ++ b })
-
-      case MatToDf(in, names) =>
-        val t = go(in); Table("id" +: names, t.rows)
 
       case EinsumOp(spec, operands) =>
         val ops = operands.map(go)
         einsum(spec, ops)
     })
 
-    go(root)
+    go(df.op)
   }
 
   private def aggregate(a: AggSpec, schema: Vector[String], rows: Vector[Array[Any]]): Any = {

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.language.implicitConversions
 import TondIR._
 
 /** Unit tests for each optimizer pass, using the paper's own §IV examples. */

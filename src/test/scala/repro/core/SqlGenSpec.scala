@@ -261,6 +261,19 @@ class SqlGenSpec extends SparkSpec {
       "JOIN (SELECT y, ROW_NUMBER() OVER (ORDER BY y) AS n FROM u) b ON a.n = b.n")
   }
 
+  test("alignWith orders negative values numerically (O0–O4, MiniPandas)") {
+    runDsl(Dsl.table("t")(cat).withCol("nx", Dsl.lit(0.0) - Dsl.col("x")).select("nx")
+             .alignWith(Dsl.table("u")(cat).select("y")),
+      "SELECT nx, y FROM (SELECT 0.0 - x AS nx, ROW_NUMBER() OVER (ORDER BY 0.0 - x) AS n FROM t) a " +
+      "JOIN (SELECT y, ROW_NUMBER() OVER (ORDER BY y) AS n FROM u) b ON a.n = b.n")
+  }
+
+  test("alignWith orders a string column as strings (O0–O4, MiniPandas)") {
+    runDsl(Dsl.table("t")(cat).select("s", "x").alignWith(Dsl.table("u")(cat).select("y")),
+      "SELECT s, x, y FROM (SELECT s, x, ROW_NUMBER() OVER (ORDER BY s, x) AS n FROM t) a " +
+      "JOIN (SELECT y, ROW_NUMBER() OVER (ORDER BY y) AS n FROM u) b ON a.n = b.n")
+  }
+
   // -------------------------------------------------- the answer check itself
   test("the answer check rejects a sorted answer in the wrong order") {
     def reverse(a: EnginePath.Answer) = (a._1, a._2.reverse)

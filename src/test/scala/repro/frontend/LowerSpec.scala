@@ -145,4 +145,11 @@ class LowerSpec extends AnyFunSuite {
   test("unknown column fails loudly at lowering time") {
     intercept[RuntimeException] { lower(table("df").filter(col("nope") > lit(1))) }
   }
+
+  test("select and unique of an unknown column fail when the program is built, naming the column") {
+    for (build <- Seq(() => table("df").select("a", "nope"), () => table("df").unique("nope"))) {
+      val e = intercept[IllegalArgumentException](build())
+      assert(e.getMessage.contains("'nope'"), e.getMessage)
+    }
+  }
 }
