@@ -115,11 +115,15 @@ object Optimizer {
     * result keeps only the head positions its consumers use (all of them if
     * they use none) and is then local-DCE'd; then its own uses of its
     * producers are recorded. A forward pass rewrites every access to a
-    * pruned relation to the kept positions. */
+    * pruned relation to the kept positions. A rule that reads only base
+    * tables records nothing: a base table heads no rule, so its used
+    * positions are never read. */
   def globalDce(p: Program): Program = {
     val used = mutable.HashMap[String, mutable.BitSet]() // relation read by a live rule → used positions
     val keep = mutable.HashMap[String, Vector[Int]]()     // pruned relation → kept positions
     val rules = p.rules.toArray
+    val derived = mutable.HashSet[String]()
+    rules.foreach(derived += _.head.rel)
     val live = new Array[Boolean](rules.length)
     for (i <- rules.indices.reverse if rules(i).head.rel == p.result || used.contains(rules(i).head.rel)) {
       val r = rules(i)
@@ -129,18 +133,25 @@ object Optimizer {
         keep(r.head.rel) = u.toVector
         rules(i) = localDce(r.copy(head = r.head.copy(cols = u.toVector.map(r.head.cols))))
       }
-      recordUses(rules(i), used)
+      if (readsAny(rules(i), derived)) recordUses(rules(i), used)
     }
     if (keep.isEmpty && live.forall(identity)) return p
-    def reads(r: Rule): Boolean = { var hit = false; r.body.foreach(_.foreachRelAtom(ra => hit ||= keep.contains(ra.rel))); hit }
+    val pruned = keep.keySet
     def fixAtom(a: Atom): Atom = a match {
       case ra: RelAtom      => keep.get(ra.rel).fold(a)(k => ra.copy(vars = k.map(ra.vars)))
       case ExistsAtom(b, n) => ExistsAtom(b.map(fixAtom), n)
       case other            => other
     }
     p.copy(rules = rules.indices.collect {
-      case i if live(i) => if (reads(rules(i))) rules(i).copy(body = rules(i).body.map(fixAtom)) else rules(i)
+      case i if live(i) => if (readsAny(rules(i), pruned)) rules(i).copy(body = rules(i).body.map(fixAtom)) else rules(i)
     }.toVector)
+  }
+
+  /** True iff `r` reads one of `rels` at any depth. */
+  private def readsAny(r: Rule, rels: collection.Set[String]): Boolean = {
+    var hit = false
+    r.body.foreach(_.foreachRelAtom(ra => hit ||= rels(ra.rel)))
+    hit
   }
 
   /** Record which positions of each relation `r` reads it uses: a position

@@ -8,12 +8,21 @@ import TondIR._
   * Each rule becomes a Common Table Expression; the final rule becomes the
   * top-level SELECT so its ORDER BY / LIMIT survive (CTEs do not preserve
   * order). Joins are emitted as an explicit JOIN chain derived from
-  * Datalog-style variable unification; `exists` atoms become (NOT) EXISTS
-  * subqueries, emitted by the same body class (`Level`) as the rule itself,
-  * so they nest to any depth and may refer to variables of any enclosing
-  * level; UID() becomes a ROW_NUMBER window (0-based). The statement is
-  * written into one buffer, and a column reference is written only where a
-  * variable is used.
+  * Datalog-style variable unification; `exists` atoms become subqueries,
+  * emitted by the same body class (`Level`) as the rule itself, so they nest
+  * to any depth and may refer to variables of any enclosing level; UID()
+  * becomes a ROW_NUMBER window (0-based). The statement is written into one
+  * buffer, and a column reference is written only where a variable is used.
+  *
+  * A positive `exists` whose body correlates only through one key variable
+  * ([[TondIR.Scope.semiJoinKey]]) becomes `<outer ref> IN (SELECT <key
+  * column> FROM … WHERE …)`, as hand-written SQL spells a semi-join: an
+  * engine plans an uncorrelated `IN` directly, where a correlated `EXISTS`
+  * must first be unnested. Every other `exists` stays `[NOT] EXISTS`: a
+  * negated one, because `NOT IN` is not NULL-safe; one with two or more
+  * keys, because DuckDB 1.0.0 rejects a row-valued `IN` subquery ("Subquery
+  * returns 2 columns - expected 1"); and one with a correlated
+  * non-equality, such as Q21's `<>`. Both dialects use the same form.
   *
   * Backend adaptation (§III-E) is confined to [[SqlDialect]]: the only
   * engine-visible difference we need is how an inline VALUES relation is
@@ -70,8 +79,9 @@ object SqlGen {
       * binding here, else to its assignment here, else through `outer`. A
       * variable bound again here is joined by equality (in the ON clause, or
       * in WHERE within the first item); one bound here and seen by an
-      * enclosing level correlates by equality. `nl` starts a new line. */
-    final class Level(scope: Scope, outer: Option[Level], nl: String) {
+      * enclosing level correlates by equality, except `key`, the key of an
+      * `IN` subquery, which its SELECT list writes. `nl` starts a new line. */
+    final class Level(scope: Scope, outer: Option[Level], nl: String, key: Option[String] = None) {
       private val items = scope.atoms.filter(a => a.isInstanceOf[RelAtom] || a.isInstanceOf[ConstAtom])
       require(items.nonEmpty, s"body with empty FROM: ${scope.atoms.map(show).mkString(", ")}")
       private val aliases = items.map { _ => aliasN += 1; s"t$aliasN" }
@@ -105,7 +115,7 @@ object SqlGen {
         val v = vars(i)(k)
         if (bound.contains(v)) { ref(v, on); on.append(" = "); col(i, k, on); true }
         else {
-          if (scope.outer.exists(_.sees(v))) {
+          if (!key.contains(v) && scope.outer.exists(_.sees(v))) {
             val c = new Sql
             outer.foreach(_.ref(v, c)); c.append(" = "); col(i, k, c)
             correlations ::= c.toString
@@ -143,7 +153,7 @@ object SqlGen {
 
       /** Write the WHERE conditions, `kw` before the first and `sep` between
         * them: the join equalities, the correlations, the predicates, then
-        * each `exists` atom as a subquery. */
+        * each `exists` atom as an `IN` or `[NOT] EXISTS` subquery. */
       def where(out: Sql, kw: String, sep: String): Unit = {
         var first = true
         def next(): Unit = { out.append(if (first) kw else sep); first = false }
@@ -153,9 +163,14 @@ object SqlGen {
         scope.atoms.foreach {
           case e @ ExistsAtom(_, neg) =>
             next()
-            if (neg) out.append("NOT ")
-            val sub = new Level(scope.sub(e), Some(this), nl)
-            out.append("EXISTS (SELECT 1 FROM ").append(sub.from)
+            val s = scope.sub(e)
+            val k = if (neg) None else s.semiJoinKey
+            val sub = new Level(s, Some(this), nl, k)
+            k match {
+              case Some(v) => ref(v, out); out.append(" IN (SELECT "); sub.ref(v, out); out.append(" FROM ")
+              case None    => out.append(if (neg) "NOT EXISTS (SELECT 1 FROM " else "EXISTS (SELECT 1 FROM ")
+            }
+            out.append(sub.from)
             sub.where(out, " WHERE ", " AND ")
             out.append(')')
           case _ =>

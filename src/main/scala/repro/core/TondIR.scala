@@ -177,6 +177,18 @@ object TondIR {
     def foreachJoinVar(f: String => Unit): Unit = binds.foreachEntry((v, _) => if (isJoinVar(v)) f(v))
     /** The scope of `e`'s body, an `exists` atom of this level. */
     def sub(e: ExistsAtom): Scope = new Scope(e.body, Some(this))
+    /** For an `exists` body: its one correlation key, if it correlates with
+      * the enclosing levels only by equality on one variable. That variable
+      * is bound here by relation or VALUES atoms, and no other variable an
+      * enclosing level sees occurs in this body at any depth (in a
+      * predicate, an assignment, an outer-join condition or a nested
+      * `exists`). */
+    def semiJoinKey: Option[String] = outer.flatMap { o =>
+      var key: String = null
+      var single = true
+      atoms.foreach(_.foreachVar(v => if (single && o.sees(v)) { if (key == null) key = v else if (v != key) single = false }))
+      if (single && key != null && binds.contains(key)) Some(key) else None
+    }
   }
 
   // --------------------------------------------------------------- printing

@@ -62,6 +62,12 @@ object MiniPandas {
     case x => x
   }
 
+  /** `rows` indexed by their values at the columns `ix`. A row with a NULL
+    * there is left out, so a probe key holding a NULL finds nothing: a NULL
+    * key matches no row, as in SQL (pandas' `merge` would match NaN keys). */
+  private def keyIndex(rows: Vector[Array[Any]], ix: Vector[Int]): Map[Vector[Any], Vector[Array[Any]]] =
+    rows.filter(r => ix.forall(r(_) != null)).groupBy(r => ix.map(i => keyOf(r(i))))
+
   private def likeRegex(pat: String): java.util.regex.Pattern =
     java.util.regex.Pattern.compile(
       pat.flatMap {
@@ -158,7 +164,7 @@ object MiniPandas {
             for (a <- lt.rows; b <- rt.rows) out += (lIx.map(a) ++ rIx.map(b)).toArray
           case "inner" | "left" =>
             val lk = leftOn.map(lt.idx); val rk = rightOn.map(rt.idx)
-            val index = rt.rows.groupBy(b => rk.map(i => keyOf(b(i))))
+            val index = keyIndex(rt.rows, rk)
             for (a <- lt.rows) {
               val key = lk.map(i => keyOf(a(i)))
               index.get(key) match {
@@ -193,7 +199,7 @@ object MiniPandas {
         val lk = on.map { case (lc, _) => lt.idx(lc) }
         val rk = on.map { case (_, rc) => rt.idx(rc) }
         val neqIx = neq.map { case (op, lc, rc) => (op, lt.idx(lc), rt.idx(rc)) }
-        val index = rt.rows.groupBy(b => rk.map(i => keyOf(b(i))))
+        val index = keyIndex(rt.rows, rk)
         val keep = lt.rows.filter { a =>
           val matches = index.getOrElse(lk.map(i => keyOf(a(i))), Vector.empty)
           val hit = matches.exists(b => neqIx.forall { case (op, li, ri) => compare(op, a(li), b(ri)) })

@@ -11,19 +11,26 @@ import TondIR._
   * program runs through `TestData`'s paths as SqlGen's DuckDB SQL and as
   * SparkGen's Catalyst plan, and both answers are checked against the same
   * expected SQL on DuckDB (§III-E: CTE chaining, sort/limit placement, UID
-  * windows, VALUES relations, exists at any depth, outer joins, dialect
-  * quirks). The last tests check the answer check itself. */
+  * windows, VALUES relations, exists at any depth and the semi-joins written
+  * as `IN`, outer joins, NULL join keys, dialect quirks). The last tests
+  * check the answer check itself. */
 class SqlGenSpec extends SparkSpec {
 
   private val cat = Catalog.empty
     .withTable("t", Vector("k", "s", "x"), unique = Set("k"))
     .withTable("u", Vector("k", "y"))
+    .withTable("n", Vector("k", "x"))
+    .withTable("w", Vector("k", "s", "z"))
 
   private lazy val in = new InputSet(Map(
     "t" -> table(Seq("k" -> LongType, "s" -> StringType, "x" -> DoubleType),
                  Seq(Row(1L, "a", 10.0), Row(2L, "b", 20.0), Row(3L, "a", 30.0), Row(4L, "c", 40.0))),
     "u" -> table(Seq("k" -> LongType, "y" -> DoubleType),
-                 Seq(Row(1L, 1.5), Row(1L, 2.5), Row(3L, 3.5), Row(9L, 9.9)))))
+                 Seq(Row(1L, 1.5), Row(1L, 2.5), Row(3L, 3.5), Row(9L, 9.9))),
+    // NULL join keys on either side of a join
+    "n" -> table(Seq("k" -> LongType, "x" -> DoubleType), Seq(Row(1L, 10.0), Row(null, 20.0), Row(2L, 30.0))),
+    "w" -> table(Seq("k" -> LongType, "s" -> StringType, "z" -> DoubleType),
+                 Seq(Row(1L, "a", 1.0), Row(null, "a", 2.0), Row(3L, "b", 3.0)))))
 
   private def table(cols: Seq[(String, DataType)], rows: Seq[Row]) =
     spark.createDataFrame(spark.sparkContext.parallelize(rows, 1),
@@ -36,6 +43,19 @@ class SqlGenSpec extends SparkSpec {
   /** Check the DSL program `df` on DuckDB SQL at O0–O4 and on MiniPandas. */
   private def runDsl(df: Dsl.Df, expected: String): Unit =
     TestData.check(Prog("dsl", cat, Right(df), expected), in, Seq(duckSql, miniPandas))
+
+  /** Check `src` on every path of `TestData.paths` (MiniPandas for a DSL
+    * program only) against `expected`, and assert that its DuckDB SQL at
+    * each of O0–O4 writes `ins` subqueries as `IN` and `exists` as `[NOT] EXISTS`. */
+  private def runSemi(src: Either[Program, Dsl.Df], expected: String, ins: Int, exists: Int): Unit = {
+    val p = Prog("semi", cat, src, expected)
+    def count(sql: String, s: String) = sql.split(java.util.regex.Pattern.quote(s), -1).length - 1
+    for (l <- 0 to 4) {
+      val sql = SqlGen.programSql(p.compile(l), cat, SqlGen.DuckDialect)
+      assert(count(sql, " IN (SELECT ") == ins && count(sql, "EXISTS (SELECT 1 ") == exists, s"O$l:\n$sql")
+    }
+    TestData.check(p, in, TestData.paths.filter(path => path != miniPandas || src.isRight))
+  }
 
   private def v(n: String) = TVar(n)
 
@@ -89,13 +109,13 @@ class SqlGenSpec extends SparkSpec {
     run(Program(Vector(r), "r"), "SELECT DISTINCT s FROM t")
   }
 
-  test("exists becomes a correlated EXISTS subquery") {
+  test("a single-key exists becomes IN (SELECT …) (O0–O4)") {
     val r = Rule(Head("r", Vector("k" -> v("k"))),
       Vector(RelAtom("t", Vector("k", "s", "x")),
              ExistsAtom(Vector(RelAtom("u", Vector("k", "y")),
                                PredAtom(TBin(">", v("y"), TConst(2.0)))))))
-    run(Program(Vector(r), "r"),
-      "SELECT k FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.k = t.k AND y > 2)")
+    runSemi(Left(Program(Vector(r), "r")),
+      "SELECT k FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.k = t.k AND y > 2)", ins = 1, exists = 0)
   }
 
   test("not exists becomes NOT EXISTS") {
@@ -169,10 +189,13 @@ class SqlGenSpec extends SparkSpec {
   for (neg <- Seq(false, true)) {
     val not = if (neg) "NOT " else ""
     test(s"${not.toLowerCase}exists inside exists (TPC-H Q20's shape)") {
+      // r(k) :- t(k, s, x), exists(u(k, y), [not] exists(u(j, y), (j > 2))). Positive, it is
+      // IN nested in IN, and u's rows k = 3 and 9 qualify, so the answer is not empty.
       val inner = ExistsAtom(Vector(RelAtom("u", Vector("j", "y")), PredAtom(TBin(">", v("j"), TConst(2L)))), neg)
-      run(existsRule(ExistsAtom(Vector(RelAtom("u", Vector("k", "y")), inner))),
+      runSemi(Left(existsRule(ExistsAtom(Vector(RelAtom("u", Vector("k", "y")), inner)))),
         "SELECT k FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.k = t.k AND " +
-        s"${not}EXISTS (SELECT 1 FROM u u2 WHERE u2.y = u.y AND u2.k > 2))")
+        s"${not}EXISTS (SELECT 1 FROM u u2 WHERE u2.y = u.y AND u2.k > 2))",
+        ins = if (neg) 1 else 2, exists = if (neg) 1 else 0)
     }
   }
 
@@ -237,6 +260,45 @@ class SqlGenSpec extends SparkSpec {
     val e = intercept[RuntimeException](SparkGen.compile(p, in.tables, cat, spark))
     assert(e.getMessage.contains("x is bound two levels out"), e.getMessage)
   }
+
+  // ------------------------------------- semi-joins as IN, NULL join keys
+  private def df(name: String) = Dsl.table(name)(cat)
+
+  test("a NULL key on either side of a semi-join matches nothing, as under EXISTS (IN, O0–O4, MiniPandas)") {
+    // n.k = 2 meets w's NULL key: `2 IN (1, NULL, 3)` is NULL, not true, so the row goes as under EXISTS.
+    runSemi(Right(df("n").semiJoin(df("w"), Seq("k" -> "k"))),
+      "SELECT k, x FROM n WHERE EXISTS (SELECT 1 FROM w WHERE w.k = n.k)", ins = 1, exists = 0)
+  }
+
+  test("an anti-join keeps its NOT EXISTS and its NULL-keyed rows (O0–O4, MiniPandas)") {
+    // `NOT IN` would keep no row here, as w has a NULL key.
+    runSemi(Right(df("n").antiJoin(df("w"), Seq("k" -> "k"))),
+      "SELECT k, x FROM n WHERE NOT EXISTS (SELECT 1 FROM w WHERE w.k = n.k)", ins = 0, exists = 1)
+  }
+
+  test("a two-key semi-join stays EXISTS, as DuckDB rejects a row-valued IN (O0–O4, MiniPandas)") {
+    runSemi(Right(df("t").semiJoin(df("w"), Seq("k" -> "k", "s" -> "s"))),
+      "SELECT k, s, x FROM t WHERE EXISTS (SELECT 1 FROM w WHERE w.k = t.k AND w.s = t.s)", ins = 0, exists = 1)
+  }
+
+  test("a semi-join with a correlated <> stays EXISTS (TPC-H Q21's shape, O0–O4, MiniPandas)") {
+    runSemi(Right(df("t").semiJoin(df("u"), Seq("k" -> "k"), Seq(("<>", "x", "y")))),
+      "SELECT k, s, x FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.k = t.k AND u.y <> t.x)", ins = 0, exists = 1)
+  }
+
+  test("a key that correlates through an enclosing assignment becomes (expr) IN (O0–O4)") {
+    // r(k) :- t(k, s, x), (j = k + 2), exists(u(j, y)).
+    val p = existsRule(AssignAtom("j", TBin("+", v("k"), TConst(2L))), ExistsAtom(Vector(RelAtom("u", Vector("j", "y")))))
+    assert(SqlGen.programSql(p, cat, SqlGen.DuckDialect).contains("WHERE ((t1.k + 2)) IN (SELECT t2.k FROM u AS t2)"))
+    runSemi(Left(p), "SELECT k FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.k = t.k + 2)", ins = 1, exists = 0)
+  }
+
+  for (how <- Seq("inner", "left"))
+    test(s"a NULL key matches nothing in a merge with how = $how (O0–O4, MiniPandas)") {
+      val join = if (how == "inner") "JOIN" else "LEFT JOIN"
+      TestData.check(Prog("merge", cat, Right(df("n").mergeOn(df("w"), Seq("k"), Seq("k"), how)),
+        s"SELECT n.k AS k, x, s, z FROM n $join w ON n.k = w.k"), in)
+    }
 
   // ----------------------------------------- UID windows are flow breakers
   test("a UID rule is not inlined under a consumer that filters (O0–O4)") {
