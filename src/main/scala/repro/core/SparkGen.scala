@@ -142,7 +142,7 @@ object SparkGen {
   }
 
   private def litType(v: Any): DataType = v match {
-    case _: Int | _: Long => LongType
+    case _: Long          => LongType
     case _: Double        => DoubleType
     case _: String        => StringType
     case _: Boolean       => BooleanType
@@ -154,7 +154,6 @@ object SparkGen {
   private def render(t: Term, colOf: String => Column): Column = t match {
     case TVar(v)   => colOf(v)
     case TConst(d: java.time.LocalDate) => lit(java.sql.Date.valueOf(d))
-    case TConst(i: Int) => lit(i.toLong)
     case TConst(v) => lit(v)
     case TAgg("count", TConst(_), false) => count(lit(1))
     case TAgg("count", a, true)  => countDistinct(render(a, colOf))
@@ -184,14 +183,7 @@ object SparkGen {
               else Window.orderBy(args.map(render(_, colOf)): _*)
       row_number().over(w).cast(LongType) - 1L
     case TExt("year", Seq(x))   => year(render(x, colOf)).cast(LongType)
-    case TExt("substr", Seq(x, f, l)) =>
-      def asInt(t: Term): Int = t match {
-        case TConst(i: Int) => i; case TConst(i: Long) => i.toInt
-        case other => sys.error(s"substr bound must be constant: $other") }
-      substring(render(x, colOf), asInt(f), asInt(l))
-    case TExt("round", Seq(x, TConst(n: Int))) => round(render(x, colOf), n)
-    case TExt("neg", Seq(x))    => -render(x, colOf)
-    case TExt("length", Seq(x)) => length(render(x, colOf)).cast(LongType)
-    case TExt(f, _) => sys.error(s"sparkgen: unknown external $f")
+    case TExt("substr", Seq(x, TConst(f: Long), TConst(l: Long))) => substring(render(x, colOf), f.toInt, l.toInt)
+    case TExt(_, _) => sys.error(s"sparkgen: unsupported external ${show(t)}")
   }
 }

@@ -196,9 +196,6 @@ object SqlGen {
           out.append(") - 1)")
         case TExt("year", Seq(x))              => out.append("YEAR("); go(x); out.append(')')
         case TExt("substr", as @ Seq(_, _, _)) => out.append("SUBSTR("); list(as); out.append(')')
-        case TExt("round", as @ Seq(_, _))     => out.append("ROUND("); list(as); out.append(')')
-        case TExt("neg", Seq(x))               => out.append("(-"); go(x); out.append(')')
-        case TExt("length", Seq(x))            => out.append("LENGTH("); go(x); out.append(')')
         case TExt(f, _)                        => sys.error(s"sqlgen: unknown external $f")
       }
       def list(ts: Seq[Term]): Unit = ts.indices.foreach { i => if (i > 0) out.append(", "); go(ts(i)) }

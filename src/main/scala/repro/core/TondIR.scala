@@ -54,12 +54,16 @@ object TondIR {
 
   /** Variable access. */
   final case class TVar(name: String) extends Term
-  /** Constant: Int/Long/Double/Boolean/String/java.time.LocalDate or null. */
-  final case class TConst(v: Any) extends Term
+  /** Constant: Long/Double/Boolean/String/java.time.LocalDate or null. */
+  final case class TConst private (v: Any) extends Term
+  object TConst {
+    /** The one place an `Int` literal becomes a `Long`. */
+    def apply(v: Any): TConst = new TConst(v match { case i: Int => i.toLong; case x => x })
+  }
   /** Aggregation over a term: sum/min/max/avg/count (optionally DISTINCT). */
   final case class TAgg(fn: String, arg: Term, distinct: Boolean = false) extends Term
-  /** External function call: uid, year, substr, round, neg or length, and
-    * `list` as the right side of `in`. */
+  /** External function call: uid, year or substr, and `list` as the right
+    * side of `in`. */
   final case class TExt(fn: String, args: Seq[Term]) extends Term
   /** Conditional `if(c, t, e)`. */
   final case class TIf(c: Term, t: Term, e: Term) extends Term

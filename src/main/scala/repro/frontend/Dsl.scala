@@ -1,15 +1,18 @@
 package repro.frontend
 
 import repro.core.Catalog
+import repro.core.TondIR.{TBin, TConst, TExt, TIf, Term, TVar}
 
 /** Embedded Pandas/NumPy-like DSL (§II-A, Table II).
   *
   * The paper's frontend parses decorated CPython functions into ASTs and
   * A-normalizes them; here the same surface operations are embedded as a
   * lazy operator DAG (each call allocates one node — already one-op-per-
-  * binding, i.e. ANF by construction). [[Lower]] translates the DAG to
-  * TondIR with the Table V rules; [[repro.mini.MiniPandas]] interprets the
-  * same DAG eagerly as the "Python" baseline.
+  * binding, i.e. ANF by construction). Expressions are TondIR terms over
+  * column names, as the paper's frontend maps each Pandas expression to a
+  * TondIR term. [[Lower]] translates the DAG to TondIR with the Table V
+  * rules; [[repro.mini.MiniPandas]] interprets the same DAG, and the same
+  * terms, eagerly as the "Python" baseline.
   *
   * Schemas are inferred at construction time from the [[Catalog]] (the
   * paper's database-catalog/decorator contextual information, §III-A),
@@ -24,54 +27,50 @@ import repro.core.Catalog
 object Dsl {
 
   // ----------------------------------------------------------- expressions
-  sealed trait PExpr {
-    def +(o: PExpr)  = PBin("+", this, o)
-    def -(o: PExpr)  = PBin("-", this, o)
-    def *(o: PExpr)  = PBin("*", this, o)
-    def /(o: PExpr)  = PBin("/", this, o)
-    def <(o: PExpr)  = PBin("<", this, o)
-    def <=(o: PExpr) = PBin("<=", this, o)
-    def >(o: PExpr)  = PBin(">", this, o)
-    def >=(o: PExpr) = PBin(">=", this, o)
-    def ===(o: PExpr) = PBin("=", this, o)
-    def !==(o: PExpr) = PBin("<>", this, o)
-    def &&(o: PExpr) = PBin("and", this, o)
-    def ||(o: PExpr) = PBin("or", this, o)
-    def like(pat: String)    = PLike(this, pat, negated = false)
-    def notLike(pat: String) = PLike(this, pat, negated = true)
-    def in(vals: Any*)       = PIn(this, vals.toVector)
-    def year                 = PFun("year", Vector(this))
-    def substr(from: Int, len: Int) = PFun("substr", Vector(this, PLit(from), PLit(len)))
+  /** The expression operators. A DSL expression is a TondIR term whose
+    * variables are column names; [[Lower]] renames them to the variables
+    * that bind those columns. */
+  implicit final class TermOps(private val t: Term) extends AnyVal {
+    def +(o: Term)  = TBin("+", t, o)
+    def -(o: Term)  = TBin("-", t, o)
+    def *(o: Term)  = TBin("*", t, o)
+    def /(o: Term)  = TBin("/", t, o)
+    def <(o: Term)  = TBin("<", t, o)
+    def <=(o: Term) = TBin("<=", t, o)
+    def >(o: Term)  = TBin(">", t, o)
+    def >=(o: Term) = TBin(">=", t, o)
+    def ===(o: Term) = TBin("=", t, o)
+    def !==(o: Term) = TBin("<>", t, o)
+    def &&(o: Term) = TBin("and", t, o)
+    def ||(o: Term) = TBin("or", t, o)
+    def like(pat: String)    = TBin("like", t, TConst(pat))
+    def notLike(pat: String) = TBin("notlike", t, TConst(pat))
+    def in(vals: Any*)       = TBin("in", t, TExt("list", vals.map(TConst(_))))
+    def year                 = TExt("year", Vector(t))
+    def substr(from: Int, len: Int) = TExt("substr", Vector(t, TConst(from), TConst(len)))
   }
-  final case class PCol(name: String) extends PExpr
-  final case class PLit(v: Any) extends PExpr
-  final case class PBin(op: String, l: PExpr, r: PExpr) extends PExpr
-  final case class PIf(c: PExpr, t: PExpr, e: PExpr) extends PExpr
-  final case class PLike(e: PExpr, pat: String, negated: Boolean) extends PExpr
-  final case class PIn(e: PExpr, vals: Vector[Any]) extends PExpr
-  final case class PFun(fn: String, args: Vector[PExpr]) extends PExpr
 
-  def col(n: String): PExpr = PCol(n)
-  def lit(v: Any): PExpr = PLit(v)
-  def date(s: String): PExpr = PLit(java.time.LocalDate.parse(s))
-  def when(c: PExpr, t: PExpr, e: PExpr): PExpr = PIf(c, t, e)
+  def col(n: String): Term = TVar(n)
+  def lit(v: Any): Term = TConst(v)
+  def date(s: String): Term = TConst(java.time.LocalDate.parse(s))
+  def when(c: Term, t: Term, e: Term): Term = TIf(c, t, e)
 
   /** One aggregate output: name, function (sum/min/max/avg/count), argument,
-    * DISTINCT flag. `count(*)` is `AggSpec(n, "count", PLit(1))`. */
-  final case class AggSpec(out: String, fn: String, arg: PExpr, distinct: Boolean = false)
+    * DISTINCT flag. `count(*)` is `AggSpec(n, "count", lit(1))`. */
+  final case class AggSpec(out: String, fn: String, arg: Term, distinct: Boolean = false)
 
   // ------------------------------------------------------------- operators
   sealed trait POp { def schema: Vector[String] }
 
   final case class Source(name: String, schema: Vector[String]) extends POp
-  final case class Filter(in: POp, cond: PExpr) extends POp { val schema = in.schema }
+  final case class Filter(in: POp, cond: Term) extends POp { val schema = in.schema }
   /** Projection: output column `out` is input column number `pos`; with
     * `distinct`, duplicate rows go (`drop_duplicates`). Positional, because
     * an einsum's schema is only known after lowering. */
   final case class Project(in: POp, cols: Vector[(String, Int)], distinct: Boolean) extends POp {
     val schema = cols.map(_._1)
   }
-  final case class WithCols(in: POp, newCols: Vector[(String, PExpr)]) extends POp {
+  final case class WithCols(in: POp, newCols: Vector[(String, Term)]) extends POp {
     val schema = in.schema.filterNot(newCols.map(_._1).contains) ++ newCols.map(_._1)
   }
   /** Pandas merge with implicit `_x`/`_y` suffixing of shared non-key
@@ -131,10 +130,10 @@ object Dsl {
   /** Pandas-style DataFrame handle. */
   final class Df(val op: POp) {
     def schema: Vector[String] = op.schema
-    def filter(e: PExpr): Df            = new Df(Filter(op, e))
+    def filter(e: Term): Df             = new Df(Filter(op, e))
     def select(cols: String*): Df       = new Df(Project(op, positions(cols), distinct = false))
-    def withCol(n: String, e: PExpr): Df = new Df(WithCols(op, Vector(n -> e)))
-    def withCols(cs: (String, PExpr)*): Df = new Df(WithCols(op, cs.toVector))
+    def withCol(n: String, e: Term): Df = new Df(WithCols(op, Vector(n -> e)))
+    def withCols(cs: (String, Term)*): Df = new Df(WithCols(op, cs.toVector))
     def rename(m: (String, String)*): Df = {
       val to = m.toMap
       new Df(Project(op, op.schema.map(c => to.getOrElse(c, c)).zipWithIndex, distinct = false))
@@ -192,8 +191,8 @@ object Dsl {
   /** Pandas groupby handle. */
   final class Grouped(in: POp, keys: Vector[String]) {
     def agg(aggs: AggSpec*): Df = new Df(GroupAgg(in, keys, aggs.toVector))
-    def sum(cols: String*): Df  = agg(cols.map(c => AggSpec(c, "sum", PCol(c))): _*)
-    def count(out: String): Df  = agg(AggSpec(out, "count", PLit(1)))
+    def sum(cols: String*): Df  = agg(cols.map(c => AggSpec(c, "sum", col(c))): _*)
+    def count(out: String): Df  = agg(AggSpec(out, "count", lit(1)))
   }
 
   /** NumPy array handle (dense layout). */

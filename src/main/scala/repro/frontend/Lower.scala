@@ -11,7 +11,9 @@ import Dsl._
   * ANF property: one operation per binding), with globally fresh variable
   * and relation names (relation-access renaming, §III-B). Structurally
   * identical sub-DAGs are memoized to a single rule chain, mirroring how
-  * ANF names shared subexpressions once.
+  * ANF names shared subexpressions once. A DSL expression is already a
+  * TondIR term over column names; renaming each column to the variable that
+  * binds it makes it a rule term.
   */
 object Lower {
 
@@ -30,20 +32,8 @@ object Lower {
 
     def freshVars(schema: Vector[String]): Vector[String] = schema.map(c => ng.fresh(c))
 
-    def exprTerm(e: PExpr, varOf: String => String): Term = e match {
-      case PCol(n) => TVar(varOf(n))
-      case PLit(i: Int)  => TConst(i.toLong)
-      case PLit(v)       => TConst(v)
-      case PBin(op, l, r) => TBin(op, exprTerm(l, varOf), exprTerm(r, varOf))
-      case PIf(c, t, el)  => TIf(exprTerm(c, varOf), exprTerm(t, varOf), exprTerm(el, varOf))
-      case PLike(x, p, neg) => TBin(if (neg) "notlike" else "like", exprTerm(x, varOf), TConst(p))
-      case PIn(x, vals)  => TBin("in", exprTerm(x, varOf),
-                                 TExt("list", vals.map { case i: Int => TConst(i.toLong); case v => TConst(v) }))
-      case PFun(fn, args) => TExt(fn, args.map(exprTerm(_, varOf)))
-    }
-
-    def conjuncts(e: PExpr): Vector[PExpr] = e match {
-      case PBin("and", l, r) => conjuncts(l) ++ conjuncts(r)
+    def conjuncts(e: Term): Vector[Term] = e match {
+      case TBin("and", l, r) => conjuncts(l) ++ conjuncts(r)
       case other             => Vector(other)
     }
 
@@ -83,7 +73,7 @@ object Lower {
 
       case Filter(in, cond) =>
         val (p, vs, varOf) = read(in)
-        val preds = conjuncts(cond).map(c => PredAtom(exprTerm(c, varOf)))
+        val preds = conjuncts(cond).map(c => PredAtom(c.rename(varOf)))
         emit(p.schema.zip(vs.map(TVar(_): Term)), RelAtom(p.rel, vs) +: preds)
 
       case Project(in, cols, distinct) =>
@@ -92,7 +82,7 @@ object Lower {
 
       case w @ WithCols(in, newCols) =>
         val (p, vs, varOf) = read(in)
-        val assigns = newCols.map { case (n, e) => n -> AssignAtom(ng.fresh(n), exprTerm(e, varOf)) }
+        val assigns = newCols.map { case (n, e) => n -> AssignAtom(ng.fresh(n), e.rename(varOf)) }
         def outVar(c: String): String = assigns.lastIndexWhere(_._1 == c) match {
           case -1 => varOf(c)
           case j  => assigns(j)._2.v
@@ -119,7 +109,7 @@ object Lower {
 
       case GroupAgg(in, keys, aggs) =>
         val (p, vs, varOf) = read(in)
-        val assigns = aggs.map(a => AssignAtom(ng.fresh(a.out), TAgg(a.fn, exprTerm(a.arg, varOf), a.distinct)))
+        val assigns = aggs.map(a => AssignAtom(ng.fresh(a.out), TAgg(a.fn, a.arg.rename(varOf), a.distinct)))
         val cols = keys.map(k => k -> (TVar(varOf(k)): Term)) ++
                    aggs.zip(assigns).map { case (a, as) => a.out -> (TVar(as.v): Term) }
         emit(cols, RelAtom(p.rel, vs) +: assigns, group = keys.map(varOf))
@@ -141,9 +131,8 @@ object Lower {
         val (p, vs, varOf) = read(in)
         val (cv, vv) = (varOf(columns), varOf(values))
         val assigns = distinctVals.map { d =>
-          val dc = d match { case i: Int => TConst(i.toLong); case v => TConst(v) }
           d.toString -> AssignAtom(ng.fresh("pv"),
-            TAgg("sum", TIf(TBin("=", TVar(cv), dc), TVar(vv), TConst(0.0))))
+            TAgg("sum", TIf(TBin("=", TVar(cv), TConst(d)), TVar(vv), TConst(0.0))))
         }
         emit((index -> (TVar(varOf(index)): Term)) +: assigns.map { case (n, a) => n -> (TVar(a.v): Term) },
              RelAtom(p.rel, vs) +: assigns.map(_._2), group = Vector(varOf(index)))

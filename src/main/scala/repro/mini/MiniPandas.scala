@@ -1,18 +1,20 @@
 package repro.mini
 
+import repro.core.TondIR.{show, TBin, TConst, TExt, TIf, Term, TVar}
 import repro.frontend.Dsl._
 import repro.tensor.Einsum
 
 /** Eager operator-at-a-time interpreter over local collections — the
   * reproduction's "Python (Pandas/NumPy)" competitor.
   *
-  * Substitution rationale (DESIGN.md): the container cannot run CPython, but
-  * what makes the Pandas/NumPy baseline slow in the paper is its execution
-  * model, not the language: every API call materializes a full intermediate,
-  * nothing fuses across calls, and everything is single-threaded. This
-  * interpreter reproduces exactly that model over the same DSL DAG that
+  * Substitution rationale (DESIGN.md): what makes the Pandas/NumPy baseline
+  * slow in the paper is its execution model, not the language: every API call
+  * materializes a full intermediate, nothing fuses across calls, and
+  * everything is single-threaded. This interpreter reproduces exactly that
+  * model in the JVM over the same DSL DAG, and the same TondIR terms, that
   * PyTond compiles, so the baseline and the compiled paths run identical
-  * logical workloads.
+  * logical workloads. Nothing emits a DSL program as pandas code yet
+  * (ROADMAP item 11), so this stays the baseline until something does.
   */
 object MiniPandas {
 
@@ -79,26 +81,23 @@ object MiniPandas {
       java.util.regex.Pattern.DOTALL)
 
   // --------------------------------------------------------- expression eval
-  def eval(e: PExpr, schema: Vector[String], row: Array[Any]): Any = e match {
-    case PCol(n)  => row(schema.indexOf(n))
-    case PLit(v: Int) => v.toLong
-    case PLit(v)  => v
-    case PIf(c, t, f) => if (truthy(eval(c, schema, row))) eval(t, schema, row) else eval(f, schema, row)
-    case PLike(x, p, neg) =>
-      val m = likeRegex(p).matcher(String.valueOf(eval(x, schema, row))).matches()
-      if (neg) !m else m
-    case PIn(x, vals) =>
-      val v = keyOf(eval(x, schema, row))
-      vals.map(keyOf).contains(v)
-    case PFun("year", Vector(a)) => eval(a, schema, row) match {
+  /** Evaluate a DSL term, whose variables are column names of `schema`, over `row`. */
+  def eval(e: Term, schema: Vector[String], row: Array[Any]): Any = e match {
+    case TVar(n)   => row(schema.indexOf(n))
+    case TConst(v) => v
+    case TIf(c, t, f) => if (truthy(eval(c, schema, row))) eval(t, schema, row) else eval(f, schema, row)
+    case TBin(op @ ("like" | "notlike"), x, TConst(p: String)) =>
+      likeRegex(p).matcher(String.valueOf(eval(x, schema, row))).matches() == (op == "like")
+    case TBin("in", x, TExt("list", vals)) =>
+      vals.map(v => keyOf(eval(v, schema, row))).contains(keyOf(eval(x, schema, row)))
+    case TExt("year", Seq(a)) => eval(a, schema, row) match {
       case d: java.sql.Date       => d.toLocalDate.getYear.toLong
       case d: java.time.LocalDate => d.getYear.toLong
       case x                      => sys.error(s"year($x)")
     }
-    case PFun("substr", Vector(a, PLit(f: Int), PLit(l: Int))) =>
-      val s = String.valueOf(eval(a, schema, row)); s.substring(f - 1, math.min(s.length, f - 1 + l))
-    case PFun(fn, _) => sys.error(s"mini: fn $fn")
-    case PBin(op, l, r) =>
+    case TExt("substr", Seq(a, TConst(f: Long), TConst(l: Long))) =>
+      val s = String.valueOf(eval(a, schema, row)); s.substring(f.toInt - 1, math.min(s.length, (f - 1 + l).toInt))
+    case TBin(op, l, r) =>
       val (a, b) = (eval(l, schema, row), eval(r, schema, row))
       op match {
         case "+" => arith(a, b, _ + _); case "-" => arith(a, b, _ - _)
@@ -106,6 +105,7 @@ object MiniPandas {
         case "and" => truthy(a) && truthy(b); case "or" => truthy(a) || truthy(b)
         case _ => compare(op, a, b)
       }
+    case _ => sys.error(s"mini: term ${show(e)}")
   }
 
   private def arith(a: Any, b: Any, f: (Double, Double) => Double): Any = (a, b) match {
@@ -129,11 +129,11 @@ object MiniPandas {
   // ---------------------------------------------------------- op evaluation
   /** Evaluate a DSL DAG eagerly. Each node materializes its full result
     * (the Pandas execution model). */
-  def run(df: Df, inputs: Map[String, Table]): Table = {
+  def run(df: Df, inputs: String => Table): Table = {
     val memo = scala.collection.mutable.HashMap[POp, Table]()
 
     def go(op: POp): Table = memo.getOrElseUpdate(op, op match {
-      case Source(name, _) => inputs.getOrElse(name, sys.error(s"mini: no input $name"))
+      case Source(name, _) => inputs(name)
 
       case Filter(in, cond) =>
         val t = go(in)

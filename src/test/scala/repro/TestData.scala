@@ -1,7 +1,7 @@
 package repro
 
 import java.sql.Connection
-import scala.collection.immutable.{AbstractMap, ArraySeq}
+import scala.collection.immutable.ArraySeq
 import scala.util.Try
 import scala.util.control.NonFatal
 import org.apache.spark.sql.DataFrame
@@ -24,14 +24,9 @@ final class InputSet(frames: => Map[String, DataFrame]) {
     c
   }
 
-  lazy val mini: Map[String, MiniPandas.Table] = new AbstractMap[String, MiniPandas.Table] {
-    private val collected = scala.collection.mutable.Map[String, MiniPandas.Table]()
-    def get(n: String) = tables.get(n).map(df => collected.getOrElseUpdate(n,
-      MiniPandas.Table(df.columns.toVector, df.collect().toVector.map(_.toSeq.toArray))))
-    def iterator = tables.keysIterator.map(n => n -> this(n))
-    def removed(n: String) = iterator.toMap - n
-    def updated[V >: MiniPandas.Table](n: String, v: V) = iterator.toMap.updated(n, v)
-  }
+  private val collected = scala.collection.mutable.Map[String, MiniPandas.Table]()
+  val mini: String => MiniPandas.Table = n => collected.getOrElseUpdate(n, {
+    val df = tables(n); MiniPandas.Table(df.columns.toVector, df.collect().toVector.map(_.toSeq.toArray)) })
 }
 
 /** A program, in the DSL or in TondIR, with the catalog it is written

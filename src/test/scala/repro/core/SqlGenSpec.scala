@@ -5,6 +5,7 @@ import org.apache.spark.sql.types._
 import repro.{EnginePath, InputSet, Prog, SparkSpec, TestData}
 import repro.TestData.{duckSql, miniPandas, sparkGen}
 import repro.frontend.Dsl
+import repro.frontend.Dsl.TermOps
 import TondIR._
 
 /** Feature-level tests of both body emitters over tiny inline tables: each

@@ -1,6 +1,7 @@
 package repro.mini
 
 import org.scalacheck.{Gen, Prop, Properties}
+import repro.core.TondIR.{TBin, Term}
 import repro.frontend.Dsl._
 
 /** ScalaCheck properties for the MiniPandas interpreter (the "Python"
@@ -9,7 +10,7 @@ object MiniProps extends Properties("MiniPandas") {
 
   private val schema = Vector("a", "b", "s")
   private def row(a: Double, b: Double, s: String): Array[Any] = Array(a, b, s)
-  private def ev(e: PExpr, r: Array[Any]): Any = MiniPandas.eval(e, schema, r)
+  private def ev(e: Term, r: Array[Any]): Any = MiniPandas.eval(e, schema, r)
 
   private val numGen = Gen.chooseNum(-1e6, 1e6)
   private val strGen = Gen.listOfN(6, Gen.alphaNumChar).map(_.mkString)
@@ -31,29 +32,29 @@ object MiniProps extends Properties("MiniPandas") {
   property("a comparison with NULL is never true, as in SQL") = Prop.forAll(numGen) { x =>
     val r: Array[Any] = Array(x, null, "")
     Seq("=", "<>", "<", "<=", ">", ">=").forall(op =>
-      ev(PBin(op, col("a"), col("b")), r) == false && ev(PBin(op, col("b"), col("a")), r) == false)
+      ev(TBin(op, col("a"), col("b")), r) == false && ev(TBin(op, col("b"), col("a")), r) == false)
   }
 
   property("if-then-else selects by condition") = Prop.forAll(numGen, numGen) { (x, y) =>
     val r = row(x, y, "")
-    val out = ev(PIf(col("a") > col("b"), lit(1), lit(0)), r)
+    val out = ev(when(col("a") > col("b"), lit(1), lit(0)), r)
     (out == 1L) == (x > y)
   }
 
   property("LIKE %infix% matches substring containment") = Prop.forAll(strGen, strGen) { (s, pat) =>
     val r = row(0, 0, s)
-    val m = ev(PLike(col("s"), s"%$pat%", negated = false), r).asInstanceOf[Boolean]
+    val m = ev(col("s").like(s"%$pat%"), r).asInstanceOf[Boolean]
     m == s.contains(pat)
   }
 
   property("LIKE prefix% matches startsWith") = Prop.forAll(strGen, strGen) { (s, pat) =>
     val r = row(0, 0, s)
-    ev(PLike(col("s"), s"$pat%", negated = false), r).asInstanceOf[Boolean] == s.startsWith(pat)
+    ev(col("s").like(s"$pat%"), r).asInstanceOf[Boolean] == s.startsWith(pat)
   }
 
   property("IN-list matches membership") = Prop.forAll(Gen.listOf(numGen), numGen) { (xs, x) =>
     val r = row(x, 0, "")
-    ev(PIn(col("a"), xs.map(v => v: Any).toVector), r).asInstanceOf[Boolean] == xs.contains(x)
+    ev(col("a").in(xs: _*), r).asInstanceOf[Boolean] == xs.contains(x)
   }
 
   private def tbl(rows: List[(Double, Double, String)]): MiniPandas.Table =
